@@ -19,6 +19,8 @@ module Controller = Trio_core.Controller
 module Verifier = Trio_core.Verifier
 module Fs = Trio_core.Fs_intf
 module Vfs = Trio_core.Vfs
+module Explore = Trio_check.Explore
+module Script = Trio_check.Script
 open Cmdliner
 
 let ok what = function
@@ -469,11 +471,48 @@ let trace_cmd =
     Term.(const run $ fs_arg $ last_arg)
 
 (* ------------------------------------------------------------------ *)
+(* Explorer commands: one report printer and one exit rule *)
+
+let print_report r =
+  Format.printf "%a@." Explore.pp r;
+  r
+
+(* Explore generated scripts in turn, printing each report and stopping
+   at the first failure; the last report decides. *)
+let explore_scripts ~seed ~scripts ~ops explore =
+  let rng = Trio_util.Rng.create seed in
+  let rec go i r =
+    if i > scripts || Option.is_some r.Explore.failure then r
+    else begin
+      let script = Script.generate rng ~len:ops in
+      Printf.printf "script %d/%d: %s\n%!" i scripts (Script.to_string script);
+      Format.printf "  ";
+      go (i + 1) (print_report (explore script))
+    end
+  in
+  go 1 Explore.empty
+
+(* Exit 0 when the campaign held — or, given a [mutation] hook and the
+   failure kind it must cause, when the armed run failed with exactly
+   that kind. *)
+let explorer_exit ?mutation run =
+  match mutation with
+  | None -> if Option.is_none (run ()).Explore.failure then 0 else 1
+  | Some (arm, expect) ->
+    let kind = Explore.kind_name expect in
+    if snd (Explore.self_test ~arm ~expect run) then begin
+      Printf.printf "mutation caught: %s failure\n" kind;
+      0
+    end
+    else begin
+      Printf.printf "MUTATION NOT CAUGHT: no %s failure\n" kind;
+      1
+    end
+
+(* ------------------------------------------------------------------ *)
 (* crashcheck: systematic crash-state exploration / differential fuzzing *)
 
 let crashcheck_cmd =
-  let module Explore = Trio_check.Explore in
-  let module Script = Trio_check.Script in
   let module Differ = Trio_check.Differ in
   let run script at survive seed scripts ops budget exhaustive_lines samples diff mutate
       no_shrink =
@@ -487,7 +526,6 @@ let crashcheck_cmd =
             exit 2)
         script
     in
-    if mutate then Arckfs.Journal.set_crash_test_reorder_commit true;
     let config =
       {
         Explore.default_config with
@@ -498,6 +536,8 @@ let crashcheck_cmd =
         shrink = not no_shrink;
       }
     in
+    let arm = if mutate then Arckfs.Journal.set_crash_test_reorder_commit else ignore in
+    Explore.armed arm @@ fun () ->
     match (at, parsed_script) with
     | Some _, None ->
       Printf.eprintf "--at requires --script\n";
@@ -641,57 +681,21 @@ let crashcheck_cmd =
 (* procfail: the process-failure plane (DESIGN.md §4.12) *)
 
 let procfail_cmd =
-  let module Explore = Trio_check.Explore in
-  let module Script = Trio_check.Script in
-  let run seed scripts ops kill_points hang_points timeout_us ring mutate =
-    let base =
+  let run seed scripts ops kill_points hang_points ring mutate =
+    let config =
       {
-        Explore.pd_seed = seed;
-        pd_kill_points = kill_points;
+        Explore.pd_kill_points = kill_points;
         pd_hang_points = hang_points;
-        pd_timeout_ns = timeout_us *. 1000.0;
         pd_ring = (if ring > 0 then Some ring else None);
       }
     in
     if ring > 0 then
       Printf.printf "ring mode: victims mount with a depth-%d submission ring\n" ring;
-    if mutate then begin
-      Controller.set_crash_test_skip_gc true;
-      Printf.printf "skip-GC mutation armed: the leak invariant must catch it\n"
-    end;
-    let rng = Trio_util.Rng.create seed in
-    let scripts_to_run = List.init scripts (fun _ -> Script.generate rng ~len:ops) in
-    let caught = ref false and failed = ref false in
-    List.iteri
-      (fun i script ->
-        if not (!failed || !caught) then begin
-          Printf.printf "script %d/%d: %s\n%!" (i + 1) scripts (Script.to_string script);
-          let config = { base with Explore.pd_seed = seed + i } in
-          let r = Explore.explore_proc_death ~config script in
-          Format.printf "  %a@." Explore.pp_proc_report r;
-          match r.Explore.pr_failure with
-          | None -> ()
-          | Some cx ->
-            if mutate then caught := true
-            else begin
-              failed := true;
-              Format.printf "VIOLATION:@.%a" Explore.pp_counterexample cx
-            end
-        end)
-      scripts_to_run;
-    if mutate then begin
-      Controller.set_crash_test_skip_gc false;
-      if !caught then begin
-        Printf.printf "mutation caught: leaked pages detected by the accounting invariant\n";
-        0
-      end
-      else begin
-        Printf.printf "MUTATION NOT CAUGHT: the leak invariant missed a disabled GC\n";
-        1
-      end
-    end
-    else if !failed then 1
-    else 0
+    if mutate then Printf.printf "skip-GC mutation armed: the leak invariant must catch it\n";
+    let mutation = (Controller.set_crash_test_skip_gc, Explore.Accounting) in
+    explorer_exit
+      ?mutation:(if mutate then Some mutation else None)
+      (fun () -> explore_scripts ~seed ~scripts ~ops (Explore.explore_proc_death ~config))
   in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Script/sampling seed") in
   let scripts_arg =
@@ -707,11 +711,6 @@ let procfail_cmd =
     Arg.(
       value & opt int 3
       & info [ "hang-points" ] ~docv:"N" ~doc:"Sampled hang (wedge) injection points per script")
-  in
-  let timeout_arg =
-    Arg.(
-      value & opt float 1000.0
-      & info [ "timeout-us" ] ~docv:"US" ~doc:"Watchdog heartbeat timeout in microseconds")
   in
   let ring_arg =
     Arg.(
@@ -735,8 +734,7 @@ let procfail_cmd =
          "Kill or wedge a LibFS at sampled points mid-script, then assert watchdog escalation, \
           verifier-gated reclamation and zero leaked pages from a second process")
     Term.(
-      const run $ seed_arg $ scripts_arg $ ops_arg $ kill_arg $ hang_arg $ timeout_arg
-      $ ring_arg $ mutate_arg)
+      const run $ seed_arg $ scripts_arg $ ops_arg $ kill_arg $ hang_arg $ ring_arg $ mutate_arg)
 
 (* ------------------------------------------------------------------ *)
 (* verifycheck: incremental-vs-full verification differential gate *)
@@ -793,8 +791,6 @@ let verifycheck_cmd =
    crash-during-commit exploration, and the torn-commit self-test *)
 
 let snap_cmd =
-  let module Explore = Trio_check.Explore in
-  let module Script = Trio_check.Script in
   let module Layout = Trio_core.Layout in
   (* Reconstruct "/d/f" paths from the root's (ino, parent) graph. *)
   let paths_of_entries entries =
@@ -915,53 +911,20 @@ let snap_cmd =
           gc.Controller.gc_snap_pinned;
         0)
   in
-  let explore seed scripts ops kill_points =
-    let rng = Trio_util.Rng.create seed in
-    let failed = ref false in
-    List.iteri
-      (fun i script ->
-        if not !failed then begin
-          Printf.printf "script %d/%d: %s\n%!" (i + 1) scripts (Script.to_string script);
-          let config = { Explore.default_snap_config with sc_kill_points = kill_points } in
-          let r = Explore.explore_snapshot_commit ~config script in
-          Format.printf "  %a@." Explore.pp_snap_report r;
-          match r.Explore.sn_failure with
-          | None -> ()
-          | Some cx ->
-            failed := true;
-            Format.printf "VIOLATION:@.%a" Explore.pp_counterexample cx
-        end)
-      (List.init scripts (fun _ -> Script.generate rng ~len:ops));
-    if !failed then 1 else 0
-  in
-  let self_test seed ops kill_points =
-    Printf.printf
-      "torn-commit mutation armed: root record published before its payload, into the live \
-       slot\n";
-    let rng = Trio_util.Rng.create seed in
-    let script = Script.generate rng ~len:ops in
-    Printf.printf "script: %s\n%!" (Script.to_string script);
-    let config = { Explore.sc_kill_points = kill_points; sc_torn = true } in
-    let r = Explore.explore_snapshot_commit ~config script in
-    Format.printf "%a@." Explore.pp_snap_report r;
-    match r.Explore.sn_failure with
-    | Some cx ->
-      Format.printf "torn-mode exploration broke elsewhere:@.%a" Explore.pp_counterexample cx;
-      1
-    | None ->
-      if r.Explore.sn_zero_roots > 0 then begin
-        Printf.printf "mutation caught: %d crash state(s) with zero valid roots observed\n"
-          r.Explore.sn_zero_roots;
-        0
-      end
-      else begin
-        Printf.printf "MUTATION NOT CAUGHT: no zero-valid-root window observed\n";
-        1
-      end
-  in
   let run seed files scripts ops kill_points mutate =
-    if mutate then self_test seed ops kill_points
-    else if scripts > 0 then explore seed scripts ops kill_points
+    if mutate then
+      Printf.printf
+        "torn-commit mutation armed: root record published before its payload, into the live \
+         slot\n";
+    if mutate || scripts > 0 then
+      let mutation = (Controller.set_snap_torn_commit, Explore.Root_loss) in
+      explorer_exit
+        ?mutation:(if mutate then Some mutation else None)
+        (fun () ->
+          explore_scripts ~seed
+            ~scripts:(if mutate then 1 else scripts)
+            ~ops
+            (Explore.explore_snapshot_commit ~config:{ Explore.sc_kill_points = kill_points }))
     else demo files
   in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Script/sampling seed") in
@@ -1038,38 +1001,14 @@ let micro_cmd =
 (* qos: the multi-tenant QoS plane (DESIGN.md §4.17) *)
 
 let qos_cmd =
-  let module Explore = Trio_check.Explore in
   let module Ycsb = Trio_workloads.Ycsb in
   let module Attacks = Trio_attacks.Attacks in
-  let run kill_points ops ring timeout_us mutate =
-    let config =
-      {
-        Explore.default_qos_config with
-        Explore.qd_kill_points = kill_points;
-        qd_ops = ops;
-        qd_ring = ring;
-        qd_timeout_ns = timeout_us *. 1000.0;
-      }
-    in
+  let run kill_points ops mutate =
+    let config = { Explore.qd_kill_points = kill_points; qd_ops = ops } in
+    let explore () = print_report (Explore.explore_qos ~config ()) in
     if mutate then begin
-      Controller.set_qos_bypass true;
       Printf.printf "bypass mutation armed: every tenant is charged zero tokens\n%!";
-      Fun.protect
-        ~finally:(fun () -> Controller.set_qos_bypass false)
-        (fun () ->
-          let r = Explore.explore_qos ~config () in
-          match r.Explore.qr_failure with
-          | Some cx
-            when String.length cx.Explore.cx_detail >= 30
-                 && String.sub cx.Explore.cx_detail 0 30 = "the victim was never throttled" ->
-            Printf.printf "mutation caught: %s\n" cx.Explore.cx_detail;
-            0
-          | Some cx ->
-            Format.printf "unexpected failure:@.%a@." Explore.pp_counterexample cx;
-            1
-          | None ->
-            Printf.printf "MUTATION NOT CAUGHT: campaign passed with QoS charging disabled\n";
-            1)
+      explorer_exit ~mutation:(Controller.set_qos_bypass, Explore.Vacuous) explore
     end
     else begin
       (* A live multi-tenant mix first so the counters mean something:
@@ -1111,9 +1050,7 @@ let qos_cmd =
           0)
       |> ignore;
       Printf.printf "\nkill exploration: SIGKILLs inside throttled/parked states\n%!";
-      let r = Explore.explore_qos ~config () in
-      Format.printf "%a@." Explore.pp_qos_report r;
-      match r.Explore.qr_failure with None -> 0 | Some _ -> 1
+      explorer_exit explore
     end
   in
   let kill_arg =
@@ -1123,17 +1060,6 @@ let qos_cmd =
   in
   let ops_arg =
     Arg.(value & opt int 10 & info [ "ops" ] ~doc:"Write+share cycles the throttled victim runs")
-  in
-  let ring_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "ring" ] ~docv:"DEPTH"
-          ~doc:"Victim ring depth; throttle parks at the ring mouth are kill points")
-  in
-  let timeout_arg =
-    Arg.(
-      value & opt float 1000.0
-      & info [ "timeout-us" ] ~docv:"US" ~doc:"Watchdog heartbeat timeout in microseconds")
   in
   let mutate_arg =
     Arg.(
@@ -1148,19 +1074,18 @@ let qos_cmd =
        ~doc:
          "Run a multi-tenant byzantine/SIGKILL mix, dump per-tenant QoS charges and throttle \
           counters, then SIGKILL a throttled victim at sampled points and assert reclamation")
-    Term.(const run $ kill_arg $ ops_arg $ ring_arg $ timeout_arg $ mutate_arg)
+    Term.(const run $ kill_arg $ ops_arg $ mutate_arg)
 
 (* ------------------------------------------------------------------ *)
 (* dircheck: the ordered directory-index plane (DESIGN.md §4.18) *)
 
 let dircheck_cmd =
-  let module Explore = Trio_check.Explore in
-  let run kill_points entries capacity timeout_us mutate =
+  let run kill_points entries mutate =
     if mutate then begin
       Printf.printf
         "skip-index-update mutation armed: dentries keep landing, the B-link tree is never \
          maintained\n%!";
-      if Explore.dir_index_mutation_caught ~capacity () then begin
+      if Explore.dir_index_mutation_caught () then begin
         Printf.printf
           "mutation caught: I5 flagged the index/dentry divergence at the sharing point\n";
         0
@@ -1170,23 +1095,12 @@ let dircheck_cmd =
         1
       end
     end
-    else begin
-      let config =
-        {
-          Explore.dx_kill_points = kill_points;
-          dx_entries = entries;
-          dx_capacity = capacity;
-          dx_timeout_ns = timeout_us *. 1000.0;
-        }
-      in
-      let r = Explore.explore_dir_index ~config () in
-      Format.printf "%a@." Explore.pp_dir_report r;
-      match r.Explore.dx_failure with
-      | None -> 0
-      | Some cx ->
-        Format.printf "VIOLATION:@.%a" Explore.pp_counterexample cx;
-        1
-    end
+    else
+      explorer_exit (fun () ->
+          print_report
+            (Explore.explore_dir_index
+               ~config:{ Explore.dx_kill_points = kill_points; dx_entries = entries }
+               ()))
   in
   let kill_arg =
     Arg.(
@@ -1197,17 +1111,6 @@ let dircheck_cmd =
     Arg.(
       value & opt int 16
       & info [ "entries" ] ~doc:"Creates the victim attempts (with periodic unlink/rename)")
-  in
-  let capacity_arg =
-    Arg.(
-      value & opt int 4
-      & info [ "capacity" ] ~docv:"K"
-          ~doc:"Forced B-link node capacity, so a handful of creates already splits (min 2)")
-  in
-  let timeout_arg =
-    Arg.(
-      value & opt float 1000.0
-      & info [ "timeout-us" ] ~docv:"US" ~doc:"Watchdog heartbeat timeout in microseconds")
   in
   let mutate_arg =
     Arg.(
@@ -1222,7 +1125,7 @@ let dircheck_cmd =
        ~doc:
          "SIGKILL a LibFS inside B-link directory-index updates at sampled points and demand \
           every crash state certifies as consistent or cleanly unindexed")
-    Term.(const run $ kill_arg $ entries_arg $ capacity_arg $ timeout_arg $ mutate_arg)
+    Term.(const run $ kill_arg $ entries_arg $ mutate_arg)
 
 let () =
   let doc = "Trio/ArckFS userspace NVM file system simulator" in

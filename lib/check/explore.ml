@@ -62,9 +62,24 @@ let default_config =
     shrink_budget = 64;
   }
 
+(* Where a state was injected: a power failure after [i] LibFS stores,
+   or a SIGKILL / wedge at Sched kill point [i]. *)
+type point = Store of int | Kill of int | Hang of int
+
+(* What a failing state violated. *)
+type kind =
+  | Model (* the file system's answers disagree with the model or probe *)
+  | Escalation (* the watchdog did not tear the victim down *)
+  | Accounting (* page accounting unbalanced, or pages leaked, after a GC *)
+  | Certification (* a recovered file fails Full verification *)
+  | Root_loss (* no valid snapshot root, or recovery did not mount the right one *)
+  | Vacuous (* the campaign never reached the interaction it claims to test *)
+  | Uncaught (* an exception escaped the state *)
+
 type counterexample = {
+  cx_kind : kind;
   cx_ops : Script.op list;
-  cx_crash_index : int; (* stores completed before the process died; -1 = no crash involved *)
+  cx_point : point option; (* None: diverged with no injection at all *)
   cx_survivors : (int * int) list; (* (page, line) lines that survived the power failure *)
   cx_detail : string;
 }
@@ -82,17 +97,33 @@ let pp_survivors ppf survivors =
   | l ->
     Fmt.pf ppf "%s" (String.concat "," (List.map (fun (p, ln) -> Printf.sprintf "%d:%d" p ln) l))
 
+let kind_name = function
+  | Model -> "model"
+  | Escalation -> "escalation"
+  | Accounting -> "accounting"
+  | Certification -> "certification"
+  | Root_loss -> "root loss"
+  | Vacuous -> "vacuous"
+  | Uncaught -> "uncaught exception"
+
+(* Only a store crash of the model check is a state [crashcheck --at]
+   replays; kill points count Sched delays, not stores. *)
 let pp_counterexample ppf cx =
-  Fmt.pf ppf "script:   %s@." (Script.to_string cx.cx_ops);
-  if cx.cx_crash_index >= 0 then begin
-    Fmt.pf ppf "crash:    after %d LibFS stores@." cx.cx_crash_index;
-    Fmt.pf ppf "survived: %a@." pp_survivors cx.cx_survivors
-  end
-  else Fmt.pf ppf "crash:    none (diverged without a crash)@.";
-  Fmt.pf ppf "violation: %s@." cx.cx_detail;
-  if cx.cx_crash_index >= 0 then
+  let replayable = cx.cx_kind = Model in
+  if cx.cx_ops <> [] then Fmt.pf ppf "script:   %s@." (Script.to_string cx.cx_ops);
+  (match cx.cx_point with
+  | Some (Store i) ->
+    Fmt.pf ppf "crash:    store crash after %d LibFS stores@." i;
+    if replayable then Fmt.pf ppf "survived: %a@." pp_survivors cx.cx_survivors
+  | Some (Kill i) -> Fmt.pf ppf "crash:    kill at kill point %d@." i
+  | Some (Hang i) -> Fmt.pf ppf "crash:    hang at kill point %d@." i
+  | None -> Fmt.pf ppf "crash:    none (failed without an injection)@.");
+  Fmt.pf ppf "violation (%s): %s@." (kind_name cx.cx_kind) cx.cx_detail;
+  match cx.cx_point with
+  | Some (Store i) when replayable ->
     Fmt.pf ppf "replay:   trioctl crashcheck --script %S --at %d --survive %a@."
-      (Script.to_string cx.cx_ops) cx.cx_crash_index pp_survivors cx.cx_survivors
+      (Script.to_string cx.cx_ops) i pp_survivors cx.cx_survivors
+  | _ -> ()
 
 let parse_survivors s =
   if String.trim s = "" || String.trim s = "none" then Ok []
@@ -108,6 +139,14 @@ let parse_survivors s =
         | _ -> Error (Printf.sprintf "bad surviving line %S (expected page:line)" chunk))
     in
     go [] (String.split_on_char ',' s)
+
+(* [count] of [points] injection points, spread evenly from the first
+   to the last (all of them when there are no more than [count]). *)
+let spread ~points ~count =
+  if points <= 0 || count <= 0 then []
+  else if points <= count then List.init points Fun.id
+  else if count = 1 then [ points / 2 ]
+  else List.sort_uniq compare (List.init count (fun i -> i * (points - 1) / (count - 1)))
 
 (* ------------------------------------------------------------------ *)
 (* Worlds *)
@@ -359,7 +398,7 @@ let explore_once cfg ops =
       states = 0;
       exhaustive = false;
       counterexample =
-        Some { cx_ops = ops; cx_crash_index = -1; cx_survivors = []; cx_detail = d };
+        Some { cx_kind = Model; cx_ops = ops; cx_point = None; cx_survivors = []; cx_detail = d };
     }
   | None ->
     let n = recording.rec_n_stores in
@@ -369,10 +408,6 @@ let explore_once cfg ops =
     let failure = ref None in
     (* replay-fidelity pass on a bounded, evenly spread index sample *)
     if cfg.check_replay then begin
-      let sample =
-        if n <= 8 then List.init (n + 1) Fun.id
-        else List.sort_uniq compare (List.init 9 (fun i -> i * n / 8))
-      in
       List.iter
         (fun i ->
           if !failure = None then
@@ -382,12 +417,13 @@ let explore_once cfg ops =
               failure :=
                 Some
                   {
+                    cx_kind = Model;
                     cx_ops = ops;
-                    cx_crash_index = i;
+                    cx_point = Some (Store i);
                     cx_survivors = dirty_sets.(i);
                     cx_detail = d;
                   })
-        sample
+        (spread ~points:(n + 1) ~count:9)
     end;
     let i = ref 0 in
     while !failure = None && !i <= n && !states < cfg.max_states do
@@ -403,7 +439,13 @@ let explore_once cfg ops =
             | Error d ->
               failure :=
                 Some
-                  { cx_ops = ops; cx_crash_index = idx; cx_survivors = survivors; cx_detail = d }
+                  {
+                    cx_kind = Model;
+                    cx_ops = ops;
+                    cx_point = Some (Store idx);
+                    cx_survivors = survivors;
+                    cx_detail = d;
+                  }
           end)
         subsets;
       incr i
@@ -446,6 +488,146 @@ let explore ?(config = default_config) ops =
   | _ -> outcome
 
 (* ------------------------------------------------------------------ *)
+(* Kill- and fault-point campaigns
+
+   The engine above checks the model against power failures.  The
+   campaigns below check what the paper's §4 promises when a LibFS dies,
+   wedges or meets a failing medium, and they share one skeleton: count
+   the injection points the victim crosses, {!spread} the sampled
+   states evenly across them, check every state in a fresh world, sum
+   the per-state tallies into one {!report}, and stop at the first
+   failure.  A campaign supplies only its world set-up plus victim, its
+   injection, and its post-condition. *)
+
+module Fs = Trio_core.Fs_intf
+module Scrub = Trio_core.Scrub
+module Dirindex = Trio_core.Dirindex
+module Layout = Trio_core.Layout
+module Stats = Trio_sim.Stats
+
+type report = {
+  points : int; (* injection points the victim crosses end to end *)
+  states : int; (* sampled states checked *)
+  escalated : int; (* watchdog teardowns *)
+  unverified : int; (* files the teardown pushed through the verifier gate *)
+  reclaimed : int; (* pages the GC swept *)
+  leaked : int; (* pages still dead-owned after a GC (must be 0) *)
+  counts : (string * int) list; (* campaign-specific tallies, in declaration order *)
+  failure : counterexample option; (* the first failing state *)
+}
+
+let empty =
+  {
+    points = 0;
+    states = 0;
+    escalated = 0;
+    unverified = 0;
+    reclaimed = 0;
+    leaked = 0;
+    counts = [];
+    failure = None;
+  }
+
+let count r key = Option.value ~default:0 (List.assoc_opt key r.counts)
+
+let pp ppf r =
+  Fmt.pf ppf
+    "points %d  states %d  %a@.reclaim: escalated %d  unverified %d  reclaimed %d  leaked %d@.%s"
+    r.points r.states
+    Fmt.(list ~sep:(any ", ") (fun ppf (k, v) -> pf ppf "%s %d" k v))
+    r.counts r.escalated r.unverified r.reclaimed r.leaked
+    (match r.failure with
+    | None -> "the post-condition held in every sampled state"
+    | Some cx -> Fmt.str "FAILED:@.%a" pp_counterexample cx)
+
+(* Sum two tallies; the earlier failure wins. *)
+let add a b =
+  let keys = a.counts @ List.filter (fun (k, _) -> not (List.mem_assoc k a.counts)) b.counts in
+  {
+    points = a.points + b.points;
+    states = a.states + b.states;
+    escalated = a.escalated + b.escalated;
+    unverified = a.unverified + b.unverified;
+    reclaimed = a.reclaimed + b.reclaimed;
+    leaked = a.leaked + b.leaked;
+    counts = List.map (fun (k, _) -> (k, count a k + count b k)) keys;
+    failure = (if Option.is_some a.failure then a.failure else b.failure);
+  }
+
+let tally counts = { empty with counts }
+
+(* A failing state; the skeleton fills in the script and the point. *)
+let fail kind fmt =
+  Printf.ksprintf
+    (fun d ->
+      {
+        empty with
+        failure =
+          Some { cx_kind = kind; cx_ops = []; cx_point = None; cx_survivors = []; cx_detail = d };
+      })
+    fmt
+
+(* Sequence post-condition steps: stop at the first failing one. *)
+let ( let& ) r k = if Option.is_some r.failure then r else add r (k ())
+
+let located ops point r =
+  { r with failure = Option.map (fun cx -> { cx with cx_ops = ops; cx_point = point }) r.failure }
+
+(* The skeleton.  [states] pairs each sampled point with its check;
+   [vacuous] names a count that must end up nonzero, or the campaign
+   never exercised what it claims to. *)
+let campaign ?(ops = []) ?vacuous ~counts ~points states =
+  let r =
+    List.fold_left
+      (fun r (point, check) ->
+        if Option.is_some r.failure then r
+        else
+          let s =
+            try check ()
+            with exn -> fail Uncaught "uncaught exception: %s" (Printexc.to_string exn)
+          in
+          add r { (located ops (Some point) s) with states = 1 })
+      { empty with points; counts = List.map (fun k -> (k, 0)) counts }
+      states
+  in
+  match vacuous with
+  | Some key when Option.is_none r.failure && r.states > 0 && count r key = 0 ->
+    add r
+      (located ops None
+         (fail Vacuous "no sampled state counted any %s: the campaign is not exercising the \
+                        interaction it claims to" key))
+  | _ -> r
+
+(* Arm a test-only mutation hook around [f]; it is disarmed even when
+   [f] raises. *)
+let armed set f =
+  set true;
+  Fun.protect ~finally:(fun () -> set false) f
+
+let caught ~expect r =
+  match r.failure with Some cx -> cx.cx_kind = expect | None -> false
+
+(* A campaign's self-test: with the [arm] mutation in place the
+   campaign must fail, and with exactly the [expect]ed kind. *)
+let self_test ~arm ~expect run =
+  let r = armed arm run in
+  (r, caught ~expect r)
+
+(* Every path answers Ok or a clean errno — reads, and writes that must
+   degrade to EROFS/EIO — never an exception. *)
+let probe fs (model : Script.model) =
+  (match fs.Fs.readdir "/" with Ok _ | Error _ -> ());
+  Hashtbl.iter
+    (fun path _ ->
+      (match Fs.read_file fs path with Ok _ | Error _ -> ());
+      match fs.Fs.open_ path [ Trio_core.Fs_types.O_RDWR ] with
+      | Ok fd ->
+        (match fs.Fs.pwrite fd (Bytes.of_string "x") 0 with Ok _ | Error _ -> ());
+        (match fs.Fs.close fd with Ok () | Error _ -> ())
+      | Error _ -> ())
+    model.Script.files
+
+(* ------------------------------------------------------------------ *)
 (* Crash x media-fault composition (DESIGN.md §4.11)
 
    The atomicity/durability model above assumes the medium is honest:
@@ -454,16 +636,9 @@ let explore ?(config = default_config) ops =
    survives the power failure — so the checked property weakens from
    "the namespace matches the model" to *graceful degradation*: every
    operation after recovery returns [Ok] or a clean errno (never an
-   uncaught exception), the controller's patrol scrubber runs to
-   completion, and the namespace stays enumerable afterwards.
-
-   Replay fidelity cannot compose with fault injection (poisoning
-   scrambles content outside the event log), so this path never
-   cross-checks replayed images; everything else is replayable from
-   [fault_seed] alone. *)
-
-module Fs = Trio_core.Fs_intf
-module Scrub = Trio_core.Scrub
+   uncaught exception), and the controller's patrol scrubber runs to
+   completion.  The injection points are the script's store crash
+   indices; everything is replayable from [fault_seed] alone. *)
 
 type fault_config = {
   fault_seed : int; (* drives injection draws, survivors and poison placement *)
@@ -484,34 +659,13 @@ let default_fault_config =
     scrub_rounds = 2;
   }
 
-type fault_report = {
-  fr_crash_points : int;
-  fr_states : int;
-  fr_transient : int; (* soft read errors drawn across all states *)
-  fr_stuck : int; (* stores that latched wrong across all states *)
-  fr_poison_injected : int; (* latent poison lines injected at crashes *)
-  fr_repaired : int; (* scrubber: lines restored from checkpoints *)
-  fr_migrated : int; (* scrubber: pages migrated off damaged media *)
-  fr_quarantined : int; (* scrubber: pages retired to the badblock list *)
-  fr_failure : counterexample option;
-}
-
-let pp_fault_report ppf r =
-  Fmt.pf ppf
-    "crash points %d  states %d  transient %d  stuck %d  poison-injected %d@.scrub: repaired %d  migrated %d  quarantined %d@.%s"
-    r.fr_crash_points r.fr_states r.fr_transient r.fr_stuck r.fr_poison_injected r.fr_repaired
-    r.fr_migrated r.fr_quarantined
-    (match r.fr_failure with
-    | None -> "graceful degradation held in every state"
-    | Some cx -> Fmt.str "FAILED:@.%a" pp_counterexample cx)
-
 (* One crash+fault state: run the script with the injector armed, die
    after [crash_index] stores, power-fail with a seeded random surviving
-   subset, tear latent poison into lines that were in flight, then
-   recover, remount, scrub, and sweep for graceful degradation.  Model
-   divergence is expected here (faults change outcomes); the model
-   only supplies the universe of paths to probe. *)
-let check_faulted_state cfg ?(poison_candidates = []) ops ~crash_index ~state_seed =
+   subset, tear latent poison into live lines, then recover, remount,
+   scrub, and probe before and after the scrub.  Model divergence is
+   expected here (faults change outcomes); the model only supplies the
+   universe of paths to probe. *)
+let check_faulted_state cfg ~poison_candidates ops ~crash_index ~state_seed =
   in_world (fun ~sched ~pmem ~mmu ->
       let rng = Rng.create state_seed in
       let ctl = Controller.create ~sched ~pmem ~mmu () in
@@ -522,595 +676,276 @@ let check_faulted_state cfg ?(poison_candidates = []) ops ~crash_index ~state_se
       Pmem.set_fault_injection pmem ~seed:state_seed ~transient_read_p:cfg.transient_read_p
         ~stuck_store_p:cfg.stuck_store_p ();
       Pmem.fail_after_writes pmem crash_index;
-      let scrub_stats = Scrub.make_stats () in
-      let injected = ref 0 in
-      let result =
-        try
-          (try
-             List.iteri (fun i op -> ignore (Script.apply fs model i op : (unit, string) result)) ops
-           with Pmem.Crash_point -> ());
-          Pmem.fail_after_writes pmem (-1);
-          (* power failure: seeded random survivors among the unflushed
-             lines, plus latent poison torn into some in-flight lines *)
-          let dirty = Pmem.dirty_line_list pmem in
-          let keep = Hashtbl.create 16 in
-          List.iter (fun k -> if Rng.bool rng then Hashtbl.replace keep k ()) dirty;
-          Pmem.crash_select pmem ~survives:(fun ~page ~line -> Hashtbl.mem keep (page, line));
-          (* latent poison: media degrades anywhere in live data, not just
-             in the lines that were mid-flight — targets are drawn from
-             every page the script had stored to by this crash point
-             (line -1 = pick one of the page's lines), plus the in-flight
-             lines themselves *)
-          let arr =
-            Array.of_list
-              (List.rev_append dirty (List.map (fun pg -> (pg, -1)) poison_candidates))
-          in
-          if Array.length arr > 0 then
-            for _ = 1 to cfg.poison_lines do
-              let page, line = arr.(Rng.int rng (Array.length arr)) in
-              let line = if line < 0 then Rng.int rng Pmem.lines_per_page else line in
-              Pmem.poison_line pmem ~page ~line;
-              incr injected
-            done;
-          Controller.crash_recover ctl;
-          let libfs2 = Libfs.mount ~ctl ~proc:2 ~cred () in
-          let fs2 = Libfs.ops libfs2 in
-          let probe () =
-            (match fs2.Fs.readdir "/" with Ok _ | Error _ -> ());
-            Hashtbl.iter
-              (fun path _ ->
-                (match Fs.read_file fs2 path with Ok _ | Error _ -> ());
-                (* writes must degrade to EROFS/EIO, never throw *)
-                match fs2.Fs.open_ path [ Trio_core.Fs_types.O_RDWR ] with
-                | Ok fd ->
-                  (match fs2.Fs.pwrite fd (Bytes.of_string "x") 0 with Ok _ | Error _ -> ());
-                  (match fs2.Fs.close fd with Ok () | Error _ -> ())
-                | Error _ -> ())
-              model.Script.files
-          in
-          probe ();
-          for _ = 1 to cfg.scrub_rounds do
-            ignore (Scrub.patrol_once ~stats:scrub_stats ctl : Scrub.stats)
-          done;
-          probe ();
-          Ok ()
-        with exn ->
-          Error
-            (Printf.sprintf "uncaught exception (crash index %d, seed %d): %s" crash_index
-               state_seed (Printexc.to_string exn))
+      (try List.iteri (fun i op -> ignore (Script.apply fs model i op : (unit, string) result)) ops
+       with Pmem.Crash_point -> ());
+      Pmem.fail_after_writes pmem (-1);
+      let dirty = Pmem.dirty_line_list pmem in
+      let keep = Hashtbl.create 16 in
+      List.iter (fun k -> if Rng.bool rng then Hashtbl.replace keep k ()) dirty;
+      Pmem.crash_select pmem ~survives:(fun ~page ~line -> Hashtbl.mem keep (page, line));
+      (* latent poison: media degrades anywhere in live data, not just
+         in the lines that were mid-flight — targets are drawn from
+         every page the script had stored to by this crash point
+         (line -1 = pick one of the page's lines), plus the in-flight
+         lines themselves *)
+      let arr =
+        Array.of_list (List.rev_append dirty (List.map (fun pg -> (pg, -1)) poison_candidates))
       in
-      (result, Pmem.fault_stats pmem, !injected, scrub_stats))
+      let injected = if Array.length arr > 0 then cfg.poison_lines else 0 in
+      for _ = 1 to injected do
+        let page, line = arr.(Rng.int rng (Array.length arr)) in
+        let line = if line < 0 then Rng.int rng Pmem.lines_per_page else line in
+        Pmem.poison_line pmem ~page ~line
+      done;
+      Controller.crash_recover ctl;
+      let fs2 = Libfs.ops (Libfs.mount ~ctl ~proc:2 ~cred ()) in
+      let scrub = Scrub.make_stats () in
+      probe fs2 model;
+      for _ = 1 to cfg.scrub_rounds do
+        ignore (Scrub.patrol_once ~stats:scrub ctl : Scrub.stats)
+      done;
+      probe fs2 model;
+      let faults = Pmem.fault_stats pmem in
+      tally
+        [
+          ("transient", faults.Pmem.transient_faults);
+          ("stuck", faults.Pmem.stuck_stores);
+          ("poison-injected", injected);
+          ("repaired", scrub.Scrub.repaired);
+          ("migrated", scrub.Scrub.migrated);
+          ("quarantined", scrub.Scrub.quarantined);
+        ])
 
 let explore_faults ?(config = default_fault_config) ops =
   let recording = record ops in
-  let n = recording.rec_n_stores in
-  let indices =
-    if n + 1 <= config.fault_crash_points then List.init (n + 1) Fun.id
-    else
-      List.sort_uniq compare
-        (List.init config.fault_crash_points (fun i ->
-             i * n / max 1 (config.fault_crash_points - 1)))
-  in
-  let report =
-    ref
-      {
-        fr_crash_points = List.length indices;
-        fr_states = 0;
-        fr_transient = 0;
-        fr_stuck = 0;
-        fr_poison_injected = 0;
-        fr_repaired = 0;
-        fr_migrated = 0;
-        fr_quarantined = 0;
-        fr_failure = None;
-      }
-  in
-  List.iter
-    (fun idx ->
-      if (!report).fr_failure = None then begin
-        let state_seed = config.fault_seed + (idx * 2654435761) + 1 in
-        let poison_candidates = Pmem.Replay.pages (image_at recording ~crash_index:idx) in
-        let result, fstats, injected, scrub =
-          check_faulted_state config ~poison_candidates ops ~crash_index:idx ~state_seed
-        in
-        let r = !report in
-        report :=
-          {
-            r with
-            fr_states = r.fr_states + 1;
-            fr_transient = r.fr_transient + fstats.Pmem.transient_faults;
-            fr_stuck = r.fr_stuck + fstats.Pmem.stuck_stores;
-            fr_poison_injected = r.fr_poison_injected + injected;
-            fr_repaired = r.fr_repaired + scrub.Scrub.repaired;
-            fr_migrated = r.fr_migrated + scrub.Scrub.migrated;
-            fr_quarantined = r.fr_quarantined + scrub.Scrub.quarantined;
-            fr_failure =
-              (match result with
-              | Ok () -> None
-              | Error d ->
-                Some { cx_ops = ops; cx_crash_index = idx; cx_survivors = []; cx_detail = d });
-          }
-      end)
-    indices;
-  !report
+  let points = recording.rec_n_stores + 1 in
+  campaign ~ops ~points
+    ~counts:[ "transient"; "stuck"; "poison-injected"; "repaired"; "migrated"; "quarantined" ]
+    (List.map
+       (fun idx ->
+         ( Store idx,
+           fun () ->
+             check_faulted_state config
+               ~poison_candidates:(Pmem.Replay.pages (image_at recording ~crash_index:idx))
+               ops ~crash_index:idx
+               ~state_seed:(config.fault_seed + (idx * 2654435761) + 1) ))
+       (spread ~points ~count:config.fault_crash_points))
 
 (* ------------------------------------------------------------------ *)
-(* Process-death exploration (DESIGN.md §4.12)
+(* Process-death campaigns (DESIGN.md §4.12, §4.16–§4.18)
 
-   Power failure (above) loses unflushed lines but kills *everyone*;
-   process death loses *nothing in NVM* but kills one LibFS, leaving its
-   torn intermediate state live and its allocation cache orphaned.  The
-   checked property is the paper's §4 containment claim: after the
-   watchdog escalates the dead/wedged process — lease expiry,
-   force-revoke, mark-unverified, abnormal teardown — a second process
-   must be able to access every file with clean errnos (the verifier
-   gate repairs from checkpoints or degrades, it never throws), the
-   orphan-page GC must reclaim everything the dead process held, and
-   the page-accounting invariant free + reachable + cached + badblocks
-   = device pages must hold.
+   Power failure loses unflushed lines but kills *everyone*; process
+   death loses *nothing in NVM* but kills one LibFS, leaving its torn
+   intermediate state live and its allocation cache orphaned.  Kill
+   points are Sched delay boundaries inside the victim's killable scope
+   — every simulated NVM store and yield, but never inside a controller
+   syscall (those are shielded, like a kernel that finishes or never
+   starts a syscall for a dying task).  A counting pass runs the victim
+   once to learn how many points it crosses; every sampled state then
+   re-runs it in a fresh world and fires the kill (or wedge) there. *)
 
-   Kill points are Sched delay boundaries inside the victim's killable
-   scope — every simulated NVM store and yield, but never inside a
-   controller syscall (those are shielded, like a kernel that finishes
-   or never starts a syscall for a dying task).  A recording pass counts
-   the points the script crosses; kill and hang states are sampled
-   evenly across that range. *)
+(* Watchdog heartbeat timeout, also the lease every victim mounts with. *)
+let watchdog_timeout_ns = 1.0e6
+
+(* Horizon for one state: long enough for the victim to run (or die) and
+   for every lease and the heartbeat timeout to expire afterwards. *)
+let death_horizon_ns = 10.0e6
+
+(* Build the world with [setup] (which spawns the victim in a killable
+   fiber), [arm] the scheduler's injector, let the horizon elapse, then
+   hand the world to [k]. *)
+let at_point ~setup ~arm k =
+  in_world (fun ~sched ~pmem ~mmu ->
+      let w = setup ~sched ~pmem ~mmu in
+      arm sched;
+      Sched.delay death_horizon_ns;
+      Sched.disarm sched;
+      k sched w)
+
+(* A kill campaign: [kills] SIGKILL states and [hangs] wedge states
+   spread over the points the victim crosses, each judged by [post]. *)
+let kill_campaign ?ops ?vacuous ~counts ~kills ?(hangs = 0) ~setup post =
+  let points =
+    at_point ~setup ~arm:Sched.arm_count (fun sched _ -> Sched.kill_points_crossed sched)
+  in
+  let state point arm = (point, fun () -> at_point ~setup ~arm (fun _ w -> post point w)) in
+  campaign ?ops ?vacuous ~counts ~points
+    (List.map (fun i -> state (Kill i) (Sched.arm_kill ~after:i)) (spread ~points ~count:kills)
+    @ List.map (fun i -> state (Hang i) (Sched.arm_hang ~after:i)) (spread ~points ~count:hangs))
+
+(* A GC pass must balance the books with nothing leaked. *)
+let gc_checked ctl ~after =
+  let gc = Controller.gc_once ctl in
+  if gc.Controller.gc_invariant_ok && gc.Controller.gc_leaked = 0 then
+    { empty with reclaimed = gc.Controller.gc_reclaimed_pages }
+  else
+    {
+      (fail Accounting "page accounting broken after %s GC: %s" after
+         (Fmt.str "%a" Controller.pp_gc_report gc))
+      with
+      leaked = gc.Controller.gc_leaked;
+    }
+
+(* The §4 containment check every process-death campaign shares: the
+   watchdog escalates the victim (proc 1), the teardown GC balances the
+   books, a second process probes every [model] path and every visible
+   name with clean errnos only (the verifier gate repairs from
+   checkpoints or degrades, it never throws), [extra] runs its own
+   checks from there, and once the verifier gate is drained the books
+   balance again with nothing left to collect. *)
+let reclaim ?(model = Script.model_create ()) ?(extra = fun _ -> empty) ctl =
+  let wd = Controller.make_watchdog_report () in
+  let escalated = Controller.watchdog_once ~report:wd ctl ~timeout_ns:watchdog_timeout_ns in
+  if not (List.mem 1 escalated) then
+    fail Escalation "watchdog did not escalate the victim (escalated: [%s])"
+      (String.concat ";" (List.map string_of_int escalated))
+  else
+    let escalated = List.length wd.Controller.wd_escalated in
+    let& () = { empty with escalated; unverified = wd.Controller.wd_unverified } in
+    let& () = gc_checked ctl ~after:"teardown" in
+    let fs2 = Libfs.ops (Libfs.mount ~ctl ~proc:2 ~cred ()) in
+    probe fs2 model;
+    let& () =
+      match Script.visible_names fs2 with
+      | Error d -> fail Model "namespace not enumerable after the kill: %s" d
+      | Ok names ->
+        List.iter (fun path -> match Fs.read_file fs2 path with Ok _ | Error _ -> ()) names;
+        empty
+    in
+    let& () = extra fs2 in
+    ignore (Controller.drain_unverified ctl : int);
+    let& () = gc_checked ctl ~after:"probe" in
+    ignore (Controller.unmap_all ctl ~proc:2);
+    empty
+
+(* Every file passes a Full verification sweep. *)
+let certified ctl =
+  let checked, bad = Controller.audit_all ctl in
+  if bad = 0 then empty
+  else
+    fail Certification "%d of %d file(s) fail Full verification:%s" bad checked
+      (Fmt.str "%a"
+         (Fmt.list ~sep:Fmt.nop (fun ppf (ino, vs) ->
+              Fmt.pf ppf "@.  ino %d: %a" ino
+                (Fmt.list ~sep:Fmt.comma Trio_core.Verifier.pp_violation)
+                vs))
+         (Controller.audit_failures ctl))
+
+(* ------------------------------------------------------------------ *)
+(* Process death mid-script (DESIGN.md §4.12)
+
+   Victim: one op script, optionally over a submission ring.  Post-
+   condition: the shared reclamation check over the script's paths. *)
 
 type proc_config = {
-  pd_seed : int; (* reserved for sampling; exploration is deterministic *)
   pd_kill_points : int; (* kill-injection states sampled per script *)
   pd_hang_points : int; (* wedged-mode states sampled per script *)
-  pd_timeout_ns : float; (* watchdog heartbeat timeout (also the lease) *)
   pd_ring : int option;
       (* mount the victim with a submission ring of this depth: kill
          points then include the ring submit path, and escalation must
          also tear the ring down and reap its in-flight entries *)
 }
 
-let default_proc_config =
-  { pd_seed = 1; pd_kill_points = 12; pd_hang_points = 3; pd_timeout_ns = 1.0e6; pd_ring = None }
+let default_proc_config = { pd_kill_points = 12; pd_hang_points = 3; pd_ring = None }
 
-type proc_report = {
-  pr_points : int; (* kill points the script crosses end to end *)
-  pr_states : int;
-  pr_killed : int;
-  pr_hung : int;
-  pr_escalated : int; (* watchdog teardowns across all states *)
-  pr_unverified : int; (* files pushed through the verifier gate *)
-  pr_reclaimed : int; (* orphan pages swept by the GC *)
-  pr_leaked : int; (* pages still dead-owned after GC (must be 0) *)
-  pr_invariant_failures : int;
-  pr_failure : counterexample option;
-}
-
-let pp_proc_report ppf r =
-  Fmt.pf ppf
-    "kill points %d  states %d (killed %d, hung %d)  escalated %d  unverified %d@.gc: reclaimed \
-     %d  leaked %d  invariant failures %d@.%s"
-    r.pr_points r.pr_states r.pr_killed r.pr_hung r.pr_escalated r.pr_unverified r.pr_reclaimed
-    r.pr_leaked r.pr_invariant_failures
-    (match r.pr_failure with
-    | None -> "graceful degradation held in every state"
-    | Some cx -> Fmt.str "FAILED:@.%a" pp_counterexample cx)
-
-(* Horizon for one state: long enough for the script to run (or die) and
-   for every lease and the heartbeat timeout to expire afterwards. *)
-let death_horizon_ns = 10.0e6
-
-(* Recording pass: how many kill points does the script cross? *)
-let count_kill_points cfg ops =
-  in_world (fun ~sched ~pmem ~mmu ->
-      let ctl = Controller.create ~sched ~pmem ~mmu ~lease_ns:cfg.pd_timeout_ns () in
-      let libfs = Libfs.mount ~ctl ~proc:1 ~cred ?ring:cfg.pd_ring () in
-      let fs = Libfs.ops libfs in
+let explore_proc_death ?(config = default_proc_config) ops =
+  kill_campaign ~ops ~counts:[ "killed"; "hung" ] ~kills:config.pd_kill_points
+    ~hangs:config.pd_hang_points
+    ~setup:(fun ~sched ~pmem ~mmu ->
+      let ctl = Controller.create ~sched ~pmem ~mmu ~lease_ns:watchdog_timeout_ns () in
+      let fs = Libfs.ops (Libfs.mount ~ctl ~proc:1 ~cred ?ring:config.pd_ring ()) in
       let model = Script.model_create () in
       Sched.spawn sched (fun () ->
           Sched.killable (fun () ->
               List.iteri
                 (fun i op -> ignore (Script.apply fs model i op : (unit, string) result))
                 ops));
-      Sched.arm_count sched;
-      Sched.delay death_horizon_ns;
-      Sched.disarm sched;
-      Sched.kill_points_crossed sched)
-
-(* One process-death state: run the victim in a killable fiber, fire the
-   injector at the sampled point, let the watchdog escalate, GC, then
-   probe everything from a second process. *)
-let check_death_state cfg ops ~mode =
-  in_world (fun ~sched ~pmem ~mmu ->
-      let ctl = Controller.create ~sched ~pmem ~mmu ~lease_ns:cfg.pd_timeout_ns () in
-      let libfs1 = Libfs.mount ~ctl ~proc:1 ~cred ?ring:cfg.pd_ring () in
-      let fs = Libfs.ops libfs1 in
-      let model = Script.model_create () in
-      let finished = ref false in
-      Sched.spawn sched (fun () ->
-          Sched.killable (fun () ->
-              List.iteri
-                (fun i op -> ignore (Script.apply fs model i op : (unit, string) result))
-                ops);
-          finished := true);
-      (match mode with
-      | `Kill i -> Sched.arm_kill sched ~after:i
-      | `Hang i -> Sched.arm_hang sched ~after:i);
-      Sched.delay death_horizon_ns;
-      Sched.disarm sched;
-      let wd = Controller.make_watchdog_report () in
-      let detail =
-        try
-          (* Escalation: the victim holds its mount resources (journal,
-             allocation cache) whether it died, wedged, or finished and
-             went silent — the watchdog must always reclaim it. *)
-          let escalated = Controller.watchdog_once ~report:wd ctl ~timeout_ns:cfg.pd_timeout_ns in
-          if not (List.mem 1 escalated) then
-            Error
-              (Printf.sprintf "watchdog did not escalate the victim (escalated: [%s])"
-                 (String.concat ";" (List.map string_of_int escalated)))
-          else begin
-            let gc1 = Controller.gc_once ctl in
-            if (not gc1.Controller.gc_invariant_ok) || gc1.Controller.gc_leaked > 0 then
-              Error
-                (Fmt.str "page accounting broken after teardown GC: %a" Controller.pp_gc_report
-                   gc1)
-            else begin
-              (* Second process: every model path and every visible name
-                 must answer with Ok or a clean errno — the verifier
-                 gate and degradation ladder, never an exception. *)
-              let libfs2 = Libfs.mount ~ctl ~proc:2 ~cred () in
-              let fs2 = Libfs.ops libfs2 in
-              (match fs2.Fs.readdir "/" with Ok _ | Error _ -> ());
-              Hashtbl.iter
-                (fun path _ ->
-                  (match Fs.read_file fs2 path with Ok _ | Error _ -> ());
-                  match fs2.Fs.open_ path [ Trio_core.Fs_types.O_RDWR ] with
-                  | Ok fd ->
-                    (match fs2.Fs.pwrite fd (Bytes.of_string "x") 0 with Ok _ | Error _ -> ());
-                    (match fs2.Fs.close fd with Ok () | Error _ -> ())
-                  | Error _ -> ())
-                model.Script.files;
-              (match Script.visible_names fs2 with
-              | Ok names ->
-                List.iter
-                  (fun path -> match Fs.read_file fs2 path with Ok _ | Error _ -> ())
-                  names
-              | Error _ -> ());
-              (* Drain whatever the probe did not happen to map (e.g. a
-                 directory whose path vanished in a rollback), then the
-                 books must balance with nothing left to collect. *)
-              ignore (Controller.drain_unverified ctl : int);
-              let gc2 = Controller.gc_once ctl in
-              if (not gc2.Controller.gc_invariant_ok) || gc2.Controller.gc_leaked > 0 then
-                Error
-                  (Fmt.str "page accounting broken after probe GC: %a" Controller.pp_gc_report
-                     gc2)
-              else begin
-                ignore (Controller.unmap_all ctl ~proc:2);
-                Ok (gc1, gc2)
-              end
-            end
-          end
-        with exn -> Error (Printf.sprintf "uncaught exception: %s" (Printexc.to_string exn))
-      in
-      (detail, wd, !finished))
-
-let explore_proc_death ?(config = default_proc_config) ops =
-  let points = count_kill_points config ops in
-  let sample count =
-    if points <= 0 || count <= 0 then []
-    else if points <= count then List.init points Fun.id
-    else if count = 1 then [ points / 2 ]
-    else List.sort_uniq compare (List.init count (fun i -> i * (points - 1) / (count - 1)))
-  in
-  let states =
-    List.map (fun i -> `Kill i) (sample config.pd_kill_points)
-    @ List.map (fun i -> `Hang i) (sample config.pd_hang_points)
-  in
-  let report =
-    ref
-      {
-        pr_points = points;
-        pr_states = 0;
-        pr_killed = 0;
-        pr_hung = 0;
-        pr_escalated = 0;
-        pr_unverified = 0;
-        pr_reclaimed = 0;
-        pr_leaked = 0;
-        pr_invariant_failures = 0;
-        pr_failure = None;
-      }
-  in
-  List.iter
-    (fun mode ->
-      if (!report).pr_failure = None then begin
-        let idx = match mode with `Kill i | `Hang i -> i in
-        let detail, wd, _finished =
-          try check_death_state config ops ~mode
-          with exn ->
-            ( Error (Printf.sprintf "uncaught exception escaped the state: %s" (Printexc.to_string exn)),
-              Controller.make_watchdog_report (),
-              false )
-        in
-        let r = !report in
-        let killed, hung = match mode with `Kill _ -> (1, 0) | `Hang _ -> (0, 1) in
-        report :=
-          (match detail with
-          | Ok (gc1, gc2) ->
-            {
-              r with
-              pr_states = r.pr_states + 1;
-              pr_killed = r.pr_killed + killed;
-              pr_hung = r.pr_hung + hung;
-              pr_escalated = r.pr_escalated + List.length wd.Controller.wd_escalated;
-              pr_unverified = r.pr_unverified + wd.Controller.wd_unverified;
-              pr_reclaimed =
-                r.pr_reclaimed + gc1.Controller.gc_reclaimed_pages
-                + gc2.Controller.gc_reclaimed_pages;
-              pr_leaked = r.pr_leaked + gc1.Controller.gc_leaked + gc2.Controller.gc_leaked;
-              pr_invariant_failures = r.pr_invariant_failures;
-            }
-          | Error d ->
-            {
-              r with
-              pr_states = r.pr_states + 1;
-              pr_killed = r.pr_killed + killed;
-              pr_hung = r.pr_hung + hung;
-              pr_invariant_failures =
-                (r.pr_invariant_failures
-                +
-                if
-                  String.length d >= 15
-                  && String.sub d 0 15 = "page accounting"
-                then 1
-                else 0);
-              pr_failure =
-                Some { cx_ops = ops; cx_crash_index = idx; cx_survivors = []; cx_detail = d };
-            })
-      end)
-    states;
-  !report
+      (ctl, model))
+    (fun point (ctl, model) ->
+      (* the victim holds its mount resources (journal, allocation
+         cache) whether it died, wedged, or finished and went silent *)
+      add
+        (tally [ ((match point with Hang _ -> "hung" | _ -> "killed"), 1) ])
+        (reclaim ~model ctl))
 
 (* ------------------------------------------------------------------ *)
 (* Crash during snapshot commit (DESIGN.md §4.16)
 
-   Property: root publication is transactional.  A kill injected at any
-   Delay boundary of [Controller.snapshot_take] must leave the device
-   with at least one fully valid root — the superseded root before the
-   commit store persists, the new one after — never zero.  And crash
-   recovery from every such state must come up in a configuration the
-   differential machinery certifies: recovery mounts a root (or walks
-   the tree when told to expect damage), every file record passes a
-   Full-mode verification sweep, and the page accounting balances with
-   the [snap_pinned] term included.
+   Victim: the second of two [Controller.snapshot_take]s over the
+   script's files (so the superseded root is substantial).  Post-
+   condition: root publication is transactional — at least one fully
+   valid root survives every kill point (the superseded one before the
+   commit store persists, the new one after), and recovery from NVM
+   alone mounts it on a state that passes a Full verification sweep
+   with the page accounting ([snap_pinned] included) balanced.  The
+   torn-commit mutation ({!Controller.set_snap_torn_commit}) must fail
+   this with [Root_loss]. *)
 
-   The [sc_torn] variant publishes with the deliberately sabotaged
-   ordering ({!Controller.set_snap_torn_commit}: root record first,
-   payload second, into the live slot) and the exploration must CATCH
-   it — find at least one kill point with zero valid roots.  That is
-   the self-test that this campaign can see the bug class at all. *)
+type snap_config = { sc_kill_points : int (* kill-injection states sampled per script *) }
 
-type snap_config = {
-  sc_kill_points : int; (* kill-injection states sampled per script *)
-  sc_torn : bool; (* run against the sabotaged commit ordering *)
-}
+let default_snap_config = { sc_kill_points = 24 }
 
-let default_snap_config = { sc_kill_points = 24; sc_torn = false }
-
-type snap_report = {
-  sn_points : int; (* kill points publication crosses end to end *)
-  sn_states : int;
-  sn_root_old : int; (* states that recovered on the superseded root *)
-  sn_root_new : int; (* states that recovered on the new root *)
-  sn_fsck : int; (* states that fell back to the fsck walk *)
-  sn_zero_roots : int; (* states with NO valid root (torn mode's catch) *)
-  sn_failure : counterexample option;
-}
-
-let pp_snap_report ppf r =
-  Fmt.pf ppf
-    "kill points %d  states %d  recovered: old root %d, new root %d, fsck %d  zero-root states \
-     %d@.%s"
-    r.sn_points r.sn_states r.sn_root_old r.sn_root_new r.sn_fsck r.sn_zero_roots
-    (match r.sn_failure with
-    | None -> "every crash state kept a valid, certifiable root"
-    | Some cx -> Fmt.str "FAILED:@.%a" pp_counterexample cx)
-
-(* One state: populate the FS with the script, then kill publication at
-   the sampled point ([`Count] instead records how many points there
-   are).  Returns what recovery found. *)
-let check_snap_state cfg ops ~mode =
-  in_world (fun ~sched ~pmem ~mmu ->
-      Controller.set_snap_torn_commit cfg.sc_torn;
-      Fun.protect ~finally:(fun () -> Controller.set_snap_torn_commit false) @@ fun () ->
+let explore_snapshot_commit ?(config = default_snap_config) ops =
+  kill_campaign ~ops ~counts:[ "old root"; "new root"; "fsck"; "zero-root" ]
+    ~kills:config.sc_kill_points
+    ~setup:(fun ~sched ~pmem ~mmu ->
       let ctl = Controller.create ~sched ~pmem ~mmu () in
-      let libfs = Libfs.mount ~ctl ~proc:1 ~cred () in
-      let fs = Libfs.ops libfs in
+      let fs = Libfs.ops (Libfs.mount ~ctl ~proc:1 ~cred ()) in
       let model = Script.model_create () in
       List.iteri (fun i op -> ignore (Script.apply fs model i op : (unit, string) result)) ops;
       Controller.unmap_all ctl ~proc:1;
-      (* One complete snapshot over the script's files, then the one
-         under attack: the superseded root is substantial, not the
-         trivial epoch-1 root over an empty tree. *)
       ignore (Controller.snapshot_take ctl : (int, Trio_core.Fs_types.errno) result);
       let pre_epoch = Controller.snapshot_epoch ctl in
       Sched.spawn sched (fun () ->
           Sched.killable (fun () ->
               ignore (Controller.snapshot_take ctl : (int, Trio_core.Fs_types.errno) result)));
-      (match mode with
-      | `Count -> Sched.arm_count sched
-      | `Kill i -> Sched.arm_kill sched ~after:i);
-      Sched.delay death_horizon_ns;
-      Sched.disarm sched;
-      match mode with
-      | `Count -> `Points (Sched.kill_points_crossed sched)
-      | `Kill _ -> (
-        let valid =
-          List.filter_map (fun slot -> Controller.snapshot_root_status pmem ~slot) [ 0; 1 ]
-        in
-        if valid = [] then `Zero_roots
-        else begin
-          (* The crash proper: DRAM dies with the old controller; a new
-             one recovers from NVM alone. *)
-          let mmu' = Mmu.create pmem in
-          match Controller.recover ~sched ~pmem ~mmu:mmu' () with
-          | Error e -> `Failure (Printf.sprintf "recovery refused both ladders: %s" e)
-          | Ok (ctl', how) -> (
-            let checked, bad = Controller.audit_all ctl' in
-            let gc = Controller.gc_once ctl' in
-            if bad > 0 then
-              `Failure
-                (Printf.sprintf "recovered state not certified: %d of %d file(s) fail Full \
-                                 verification" bad checked)
-            else if (not gc.Controller.gc_invariant_ok) || gc.Controller.gc_leaked > 0 then
-              `Failure (Fmt.str "page accounting broken after recovery: %a" Controller.pp_gc_report gc)
-            else
-              match how with
-              | Controller.Fsck_fallback -> `Fsck
-              | Controller.Mounted_root e ->
-                if e > pre_epoch then `New_root
-                else if e = pre_epoch then `Old_root
-                else `Failure (Printf.sprintf "recovery mounted epoch %d older than the last \
-                                               committed root %d" e pre_epoch))
-        end))
-
-let explore_snapshot_commit ?(config = default_snap_config) ops =
-  let points =
-    match check_snap_state config ops ~mode:`Count with `Points n -> n | _ -> 0
-  in
-  let sample count =
-    if points <= 0 || count <= 0 then []
-    else if points <= count then List.init points Fun.id
-    else if count = 1 then [ points / 2 ]
-    else List.sort_uniq compare (List.init count (fun i -> i * (points - 1) / (count - 1)))
-  in
-  let report =
-    ref
-      {
-        sn_points = points;
-        sn_states = 0;
-        sn_root_old = 0;
-        sn_root_new = 0;
-        sn_fsck = 0;
-        sn_zero_roots = 0;
-        sn_failure = None;
-      }
-  in
-  List.iter
-    (fun i ->
-      if (!report).sn_failure = None then begin
-        let outcome =
-          try check_snap_state config ops ~mode:(`Kill i)
-          with exn ->
-            `Failure (Printf.sprintf "uncaught exception: %s" (Printexc.to_string exn))
-        in
-        let r = { !report with sn_states = (!report).sn_states + 1 } in
-        report :=
-          (match outcome with
-          | `Old_root -> { r with sn_root_old = r.sn_root_old + 1 }
-          | `New_root -> { r with sn_root_new = r.sn_root_new + 1 }
-          | `Fsck ->
-            (* A torn commit legitimately lands here (the sabotage
-               destroyed the live root before the kill window); with the
-               correct ordering a root always exists, so falling back to
-               the walk means validation rejected roots it should not
-               have. *)
-            if config.sc_torn then { r with sn_fsck = r.sn_fsck + 1 }
-            else
-              {
-                r with
-                sn_failure =
-                  Some
-                    {
-                      cx_ops = ops;
-                      cx_crash_index = i;
-                      cx_survivors = [];
-                      cx_detail = "valid roots existed but recovery fell back to the fsck walk";
-                    };
-              }
-          | `Zero_roots ->
-            if config.sc_torn then { r with sn_zero_roots = r.sn_zero_roots + 1 }
-            else
-              {
-                r with
-                sn_failure =
-                  Some
-                    {
-                      cx_ops = ops;
-                      cx_crash_index = i;
-                      cx_survivors = [];
-                      cx_detail = "zero valid roots after kill during publication";
-                    };
-              }
-          | `Points _ -> r
-          | `Failure d ->
-            {
-              r with
-              sn_failure =
-                Some { cx_ops = ops; cx_crash_index = i; cx_survivors = []; cx_detail = d };
-            })
-      end)
-    (sample config.sc_kill_points);
-  !report
+      (sched, pmem, pre_epoch))
+    (fun _ (sched, pmem, pre_epoch) ->
+      if List.for_all (fun slot -> Controller.snapshot_root_status pmem ~slot = None) [ 0; 1 ]
+      then
+        add
+          (tally [ ("zero-root", 1) ])
+          (fail Root_loss "zero valid roots after kill during publication")
+      else
+        (* the crash proper: DRAM dies with the old controller; a new
+           one recovers from NVM alone *)
+        match Controller.recover ~sched ~pmem ~mmu:(Mmu.create pmem) () with
+        | Error e -> fail Root_loss "recovery refused both ladders: %s" e
+        | Ok (ctl, how) -> (
+          let& () = certified ctl in
+          let& () = gc_checked ctl ~after:"recovery" in
+          match how with
+          | Controller.Fsck_fallback ->
+            add (tally [ ("fsck", 1) ])
+              (fail Root_loss "valid roots existed but recovery fell back to the fsck walk")
+          | Controller.Mounted_root e when e > pre_epoch -> tally [ ("new root", 1) ]
+          | Controller.Mounted_root e when e = pre_epoch -> tally [ ("old root", 1) ]
+          | Controller.Mounted_root e ->
+            fail Root_loss "recovery mounted epoch %d older than the last committed root %d" e
+              pre_epoch))
 
 (* ------------------------------------------------------------------ *)
 (* SIGKILL inside QoS throttle states (DESIGN.md §4.17)
 
-   Property: admission control composes with process death.  A tenant
-   with a tiny share is driven until the token bucket runs dry — so its
-   fibers park at the ring mouth and pay admission delays on charged
-   syscalls — then killed at sampled kill points, which include points
-   immediately around those throttled parks.  In every sampled state:
-
-   - the watchdog must escalate the dead tenant (a throttled park must
-     not read as liveness);
-   - the page-accounting invariant must balance after the teardown GC
-     *and* after an honest probe (tokens owed are forgotten with the
-     tenant, pages are not);
-   - a fresh honest tenant must stay serviceable.
-
-   The scenario self-checks: if no sampled state ever saw the victim
-   throttled, the campaign reports failure — it would not be testing
-   the interaction it claims to. *)
+   Victim: a tenant on a tiny share (dwarfed by a competing enforced
+   share with no process behind it), driven until its token bucket runs
+   dry, so its fibers park at the ring mouth and pay admission delays on
+   charged syscalls; the kill points include those parks.  Post-
+   condition: the shared reclamation check (a throttled park must not
+   read as liveness; tokens owed are forgotten with the tenant, pages
+   are not), plus a fresh honest tenant must get real work through.
+   Vacuous unless some sampled state saw the victim throttled. *)
 
 type qos_config = {
   qd_kill_points : int; (* kill-injection states sampled *)
-  qd_timeout_ns : float; (* watchdog heartbeat timeout (also the lease) *)
-  qd_ring : int; (* victim ring depth (ring-mouth parks are kill points) *)
-  qd_share : float; (* victim share, dwarfed by [qd_rest_share] *)
-  qd_rest_share : float; (* a competing enforced share (no process behind it) *)
   qd_ops : int; (* write+share cycles the victim attempts *)
 }
 
-let default_qos_config =
-  {
-    qd_kill_points = 12;
-    qd_timeout_ns = 1.0e6;
-    qd_ring = 4;
-    qd_share = 0.02;
-    qd_rest_share = 10.0;
-    qd_ops = 10;
-  }
+let default_qos_config = { qd_kill_points = 12; qd_ops = 10 }
 
-type qos_report = {
-  qr_points : int; (* kill points the victim crosses end to end *)
-  qr_states : int;
-  qr_throttles : int; (* victim throttle events summed across states *)
-  qr_escalated : int;
-  qr_reclaimed : int;
-  qr_leaked : int; (* pages still dead-owned after GC (must be 0) *)
-  qr_invariant_failures : int;
-  qr_failure : counterexample option;
-}
-
-let pp_qos_report ppf r =
-  Fmt.pf ppf
-    "kill points %d  states %d  victim throttles %d  escalated %d@.gc: reclaimed %d  leaked %d  \
-     invariant failures %d@.%s"
-    r.qr_points r.qr_states r.qr_throttles r.qr_escalated r.qr_reclaimed r.qr_leaked
-    r.qr_invariant_failures
-    (match r.qr_failure with
-    | None -> "isolation + reclamation held in every throttled-kill state"
-    | Some cx -> Fmt.str "FAILED:@.%a" pp_counterexample cx)
+let qos_victim_share = 0.02
+let qos_rest_share = 10.0
+let qos_ring = 4
 
 let qos_victim fs libfs n =
   let payload = String.make 256 'q' in
@@ -1120,220 +955,62 @@ let qos_victim fs libfs n =
     Libfs.unmap_everything libfs
   done
 
-let check_qos_state cfg ~mode =
-  in_world (fun ~sched ~pmem ~mmu ->
-      let ctl = Controller.create ~sched ~pmem ~mmu ~lease_ns:cfg.qd_timeout_ns () in
-      (* a competing enforced share shrinks the victim's fraction;
-         no process needs to sit behind it *)
-      Controller.set_qos_share ctl ~group:99 cfg.qd_rest_share;
-      let libfs1 =
-        Libfs.mount ~ctl ~proc:1 ~cred ~qos_share:cfg.qd_share ~ring:cfg.qd_ring ()
-      in
-      let fs = Libfs.ops libfs1 in
-      Sched.spawn sched (fun () ->
-          Sched.killable (fun () -> qos_victim fs libfs1 cfg.qd_ops));
-      (match mode with
-      | `Count -> Sched.arm_count sched
-      | `Kill i -> Sched.arm_kill sched ~after:i);
-      Sched.delay death_horizon_ns;
-      Sched.disarm sched;
-      (* A throttled victim spends most of the horizon parked, so the
-         sampled kill can land just before the horizon's edge — give the
-         heartbeat timeout room to expire before judging the watchdog. *)
-      (match mode with `Kill _ -> Sched.delay (2.0 *. cfg.qd_timeout_ns) | `Count -> ());
-      match mode with
-      | `Count -> `Points (Sched.kill_points_crossed sched)
-      | `Kill _ -> (
-        let throttles =
-          List.fold_left
-            (fun acc s ->
-              if s.Controller.ts_group = 1 then acc + s.Controller.ts_throttles else acc)
-            0 (Controller.qos_stats ctl)
-        in
-        let wd = Controller.make_watchdog_report () in
-        try
-          let escalated =
-            Controller.watchdog_once ~report:wd ctl ~timeout_ns:cfg.qd_timeout_ns
-          in
-          if not (List.mem 1 escalated) then
-            `Failure
-              ( throttles,
-                Printf.sprintf "watchdog did not escalate the victim (escalated: [%s])"
-                  (String.concat ";" (List.map string_of_int escalated)) )
-          else begin
-            let gc1 = Controller.gc_once ctl in
-            if (not gc1.Controller.gc_invariant_ok) || gc1.Controller.gc_leaked > 0 then
-              `Failure
-                ( throttles,
-                  Fmt.str "page accounting broken after teardown GC: %a" Controller.pp_gc_report
-                    gc1 )
-            else begin
-              (* honest-tenant serviceability: a fresh unthrottled
-                 process must get real work through *)
-              let libfs2 = Libfs.mount ~ctl ~proc:2 ~cred () in
-              let fs2 = Libfs.ops libfs2 in
-              match Fs.write_file fs2 "/honest" "alive" with
-              | Error e ->
-                `Failure
-                  ( throttles,
-                    Printf.sprintf "honest tenant not serviceable after the kill: %s"
-                      (Trio_core.Fs_types.errno_to_string e) )
-              | Ok () -> (
-                (match fs2.Fs.readdir "/" with Ok _ | Error _ -> ());
-                ignore (Controller.drain_unverified ctl : int);
-                let gc2 = Controller.gc_once ctl in
-                if (not gc2.Controller.gc_invariant_ok) || gc2.Controller.gc_leaked > 0 then
-                  `Failure
-                    ( throttles,
-                      Fmt.str "page accounting broken after probe GC: %a"
-                        Controller.pp_gc_report gc2 )
-                else begin
-                  ignore (Controller.unmap_all ctl ~proc:2);
-                  `Ok (throttles, wd, gc1, gc2)
-                end)
-            end
-          end
-        with exn ->
-          `Failure (throttles, Printf.sprintf "uncaught exception: %s" (Printexc.to_string exn))))
-
 let explore_qos ?(config = default_qos_config) () =
-  let points =
-    match check_qos_state config ~mode:`Count with `Points n -> n | _ -> 0
-  in
-  let sample count =
-    if points <= 0 || count <= 0 then []
-    else if points <= count then List.init points Fun.id
-    else if count = 1 then [ points / 2 ]
-    else List.sort_uniq compare (List.init count (fun i -> i * (points - 1) / (count - 1)))
-  in
-  let report =
-    ref
-      {
-        qr_points = points;
-        qr_states = 0;
-        qr_throttles = 0;
-        qr_escalated = 0;
-        qr_reclaimed = 0;
-        qr_leaked = 0;
-        qr_invariant_failures = 0;
-        qr_failure = None;
-      }
-  in
-  List.iter
-    (fun i ->
-      if (!report).qr_failure = None then begin
-        let outcome =
-          try check_qos_state config ~mode:(`Kill i)
-          with exn ->
-            `Failure (0, Printf.sprintf "uncaught exception escaped the state: %s"
-                           (Printexc.to_string exn))
-        in
-        let r = !report in
-        report :=
-          (match outcome with
-          | `Ok (throttles, wd, gc1, gc2) ->
-            {
-              r with
-              qr_states = r.qr_states + 1;
-              qr_throttles = r.qr_throttles + throttles;
-              qr_escalated = r.qr_escalated + List.length wd.Controller.wd_escalated;
-              qr_reclaimed =
-                r.qr_reclaimed + gc1.Controller.gc_reclaimed_pages
-                + gc2.Controller.gc_reclaimed_pages;
-              qr_leaked = r.qr_leaked + gc1.Controller.gc_leaked + gc2.Controller.gc_leaked;
-            }
-          | `Points _ -> r
-          | `Failure (throttles, d) ->
-            {
-              r with
-              qr_states = r.qr_states + 1;
-              qr_throttles = r.qr_throttles + throttles;
-              qr_invariant_failures =
-                (r.qr_invariant_failures
-                +
-                if String.length d >= 15 && String.sub d 0 15 = "page accounting" then 1 else 0);
-              qr_failure =
-                Some { cx_ops = []; cx_crash_index = i; cx_survivors = []; cx_detail = d };
-            })
-      end)
-    (sample config.qd_kill_points);
-  let r = !report in
-  if r.qr_failure = None && r.qr_states > 0 && r.qr_throttles = 0 then
-    {
-      r with
-      qr_failure =
-        Some
-          {
-            cx_ops = [];
-            cx_crash_index = -1;
-            cx_survivors = [];
-            cx_detail =
-              "the victim was never throttled in any sampled state: the campaign is not \
-               exercising the QoS/kill interaction";
-          };
-    }
-  else r
+  kill_campaign ~counts:[ "throttles" ] ~vacuous:"throttles" ~kills:config.qd_kill_points
+    ~setup:(fun ~sched ~pmem ~mmu ->
+      let ctl = Controller.create ~sched ~pmem ~mmu ~lease_ns:watchdog_timeout_ns () in
+      Controller.set_qos_share ctl ~group:99 qos_rest_share;
+      let libfs = Libfs.mount ~ctl ~proc:1 ~cred ~qos_share:qos_victim_share ~ring:qos_ring () in
+      let fs = Libfs.ops libfs in
+      Sched.spawn sched (fun () -> Sched.killable (fun () -> qos_victim fs libfs config.qd_ops));
+      ctl)
+    (fun _ ctl ->
+      (* A throttled victim spends most of the horizon parked, so the
+         kill can land just before the horizon's edge — give the
+         heartbeat timeout room to expire before judging the watchdog. *)
+      Sched.delay (2.0 *. watchdog_timeout_ns);
+      let throttles =
+        List.fold_left
+          (fun acc s -> if s.Controller.ts_group = 1 then acc + s.Controller.ts_throttles else acc)
+          0 (Controller.qos_stats ctl)
+      in
+      add
+        (tally [ ("throttles", throttles) ])
+        (reclaim ctl ~extra:(fun fs2 ->
+             match Fs.write_file fs2 "/honest" "alive" with
+             | Ok () -> empty
+             | Error e ->
+               fail Model "honest tenant not serviceable after the kill: %s"
+                 (Trio_core.Fs_types.errno_to_string e))))
 
 (* ------------------------------------------------------------------ *)
 (* SIGKILL inside directory-index mutations (DESIGN.md §4.18)
 
    The B-link tree over a directory's name hashes is an accelerator with
    its own multi-store mutations — leaf inserts, node splits, root
-   swings — layered over the dentry truth.  The crash discipline says a
-   process may die between any two of those stores and the system must
-   come back *certifiable*: after watchdog escalation and GC, every file
-   passes a Full verification sweep (I5 included) — the tree either
-   survived intact, was rolled back with its directory's checkpoint, or
-   the directory legally dropped to unindexed (root = 0, which I5
-   skips).  Never a dangling root, never a tree that disagrees with the
-   dentries.
-
-   Node capacity is shrunk ({!Trio_core.Dirindex.set_test_capacity}) so
-   a handful of creates forces leaf and root splits: the sampled kill
-   points land inside the interesting multi-store windows, not just on
-   the op boundaries between them.
-
-   {!dir_index_mutation_caught} is the campaign's self-test: it arms the
-   LibFS skip-index-updates switch (maintenance silently dropped —
-   exactly what a buggy or malicious LibFS would do), keeps creating,
-   and the verifier's I5 must CATCH the divergence at the sharing
-   point.  That is the proof this machinery can see the bug class at
-   all. *)
-
-module Dirindex = Trio_core.Dirindex
-module Layout = Trio_core.Layout
-module Stats = Trio_sim.Stats
+   swings — layered over the dentry truth.  Victim: a create/unlink/
+   rename mix over the root directory with sharing points, with the node
+   capacity shrunk ({!dir_capacity}) so a handful of creates forces leaf
+   and root splits and the kills land inside them.  Post-condition: the
+   shared reclamation check, then a Full verification sweep (I5
+   included) certifies every file — the tree survived intact, was
+   rolled back with its directory's checkpoint, or the directory legally
+   dropped to unindexed (root = 0, which I5 skips).  Vacuous unless
+   some sampled state split a node. *)
 
 type dir_config = {
   dx_kill_points : int; (* kill-injection states sampled *)
   dx_entries : int; (* creates the victim attempts *)
-  dx_capacity : int; (* forced B-link node capacity (clamped to >= 2) *)
-  dx_timeout_ns : float; (* watchdog heartbeat timeout (also the lease) *)
 }
 
-let default_dir_config =
-  { dx_kill_points = 18; dx_entries = 16; dx_capacity = 4; dx_timeout_ns = 1.0e6 }
+let default_dir_config = { dx_kill_points = 18; dx_entries = 16 }
 
-type dir_report = {
-  dx_points : int; (* kill points the victim crosses end to end *)
-  dx_states : int;
-  dx_indexed : int; (* states certified with a live tree on the root dir *)
-  dx_unindexed : int; (* states certified unindexed (legal: root = 0) *)
-  dx_splits : int; (* node splits summed across states (capacity-forcing proof) *)
-  dx_failure : counterexample option;
-}
+(* Forced B-link node capacity. *)
+let dir_capacity = 4
 
-let pp_dir_report ppf r =
-  Fmt.pf ppf
-    "kill points %d  states %d  certified: indexed %d, unindexed %d  splits %d@.%s"
-    r.dx_points r.dx_states r.dx_indexed r.dx_unindexed r.dx_splits
-    (match r.dx_failure with
-    | None -> "every kill state recovered to a certified directory index"
-    | Some cx -> Fmt.str "FAILED:@.%a" pp_counterexample cx)
+let with_dir_capacity f =
+  armed (fun on -> Dirindex.set_test_capacity (if on then Some dir_capacity else None)) f
 
-(* The victim: a create/unlink/rename mix over the root directory with
-   sharing points, so kills land inside inserts, deletes, splits and
-   verification alike. *)
 let dir_victim fs libfs n =
   let payload = String.make 64 'd' in
   for i = 0 to n - 1 do
@@ -1347,162 +1024,36 @@ let dir_victim fs libfs n =
     if i mod 4 = 3 then Libfs.unmap_everything libfs
   done
 
-let check_dir_state cfg ~mode =
-  in_world (fun ~sched ~pmem ~mmu ->
-      Dirindex.set_test_capacity (Some cfg.dx_capacity);
-      Fun.protect ~finally:(fun () -> Dirindex.set_test_capacity None) @@ fun () ->
-      let ctl = Controller.create ~sched ~pmem ~mmu ~lease_ns:cfg.dx_timeout_ns () in
-      let libfs1 = Libfs.mount ~ctl ~proc:1 ~cred () in
-      let fs = Libfs.ops libfs1 in
-      Sched.spawn sched (fun () ->
-          Sched.killable (fun () -> dir_victim fs libfs1 cfg.dx_entries));
-      (match mode with
-      | `Count -> Sched.arm_count sched
-      | `Kill i -> Sched.arm_kill sched ~after:i);
-      Sched.delay death_horizon_ns;
-      Sched.disarm sched;
-      match mode with
-      | `Count -> `Points (Sched.kill_points_crossed sched)
-      | `Kill _ -> (
-        try
-          let wd = Controller.make_watchdog_report () in
-          let escalated =
-            Controller.watchdog_once ~report:wd ctl ~timeout_ns:cfg.dx_timeout_ns
-          in
-          if not (List.mem 1 escalated) then
-            `Failure
-              (Printf.sprintf "watchdog did not escalate the victim (escalated: [%s])"
-                 (String.concat ";" (List.map string_of_int escalated)))
-          else begin
-            let gc1 = Controller.gc_once ctl in
-            if (not gc1.Controller.gc_invariant_ok) || gc1.Controller.gc_leaked > 0 then
-              `Failure
-                (Fmt.str "page accounting broken after teardown GC: %a" Controller.pp_gc_report
-                   gc1)
-            else begin
-              (* a second process resolves through whatever tree (or
-                 fallback scan) survived; clean errnos only *)
-              let libfs2 = Libfs.mount ~ctl ~proc:2 ~cred () in
-              let fs2 = Libfs.ops libfs2 in
-              match Script.visible_names fs2 with
-              | Error d -> `Failure (Printf.sprintf "namespace not enumerable after the kill: %s" d)
-              | Ok names ->
-                List.iter
-                  (fun path -> match Fs.read_file fs2 path with Ok _ | Error _ -> ())
-                  names;
-                ignore (Controller.drain_unverified ctl : int);
-                let gc2 = Controller.gc_once ctl in
-                if (not gc2.Controller.gc_invariant_ok) || gc2.Controller.gc_leaked > 0 then
-                  `Failure
-                    (Fmt.str "page accounting broken after probe GC: %a"
-                       Controller.pp_gc_report gc2)
-                else begin
-                  (* certification: the surviving state passes a Full
-                     sweep — I5 holds for every directory *)
-                  let checked, bad = Controller.audit_all ctl in
-                  if bad > 0 then
-                    `Failure
-                      (Fmt.str "%d of %d file(s) fail Full verification after the kill:%a" bad
-                         checked
-                         (Fmt.list ~sep:Fmt.nop (fun ppf (ino, vs) ->
-                              Fmt.pf ppf "@.  ino %d: %a" ino
-                                (Fmt.list ~sep:Fmt.comma Trio_core.Verifier.pp_violation)
-                                vs))
-                         (Controller.audit_failures ctl))
-                  else begin
-                    ignore (Controller.unmap_all ctl ~proc:2);
-                    let root =
-                      Layout.read_dindex_root pmem ~actor:Pmem.kernel_actor
-                        ~dentry_addr:Layout.root_dentry_addr
-                    in
-                    let splits =
-                      int_of_float (Stats.get (Controller.stats ctl) "verify.dindex.splits")
-                    in
-                    `Certified (root <> 0, splits)
-                  end
-                end
-            end
-          end
-        with exn -> `Failure (Printf.sprintf "uncaught exception: %s" (Printexc.to_string exn))))
-
 let explore_dir_index ?(config = default_dir_config) () =
-  let points =
-    match check_dir_state config ~mode:`Count with `Points n -> n | _ -> 0
-  in
-  let sample count =
-    if points <= 0 || count <= 0 then []
-    else if points <= count then List.init points Fun.id
-    else if count = 1 then [ points / 2 ]
-    else List.sort_uniq compare (List.init count (fun i -> i * (points - 1) / (count - 1)))
-  in
-  let report =
-    ref
-      {
-        dx_points = points;
-        dx_states = 0;
-        dx_indexed = 0;
-        dx_unindexed = 0;
-        dx_splits = 0;
-        dx_failure = None;
-      }
-  in
-  List.iter
-    (fun i ->
-      if (!report).dx_failure = None then begin
-        let outcome =
-          try check_dir_state config ~mode:(`Kill i)
-          with exn ->
-            `Failure
-              (Printf.sprintf "uncaught exception escaped the state: %s" (Printexc.to_string exn))
-        in
-        let r = { !report with dx_states = (!report).dx_states + 1 } in
-        report :=
-          (match outcome with
-          | `Certified (indexed, splits) ->
-            {
-              r with
-              dx_indexed = (r.dx_indexed + if indexed then 1 else 0);
-              dx_unindexed = (r.dx_unindexed + if indexed then 0 else 1);
-              dx_splits = r.dx_splits + splits;
-            }
-          | `Points _ -> r
-          | `Failure d ->
-            {
-              r with
-              dx_failure =
-                Some { cx_ops = []; cx_crash_index = i; cx_survivors = []; cx_detail = d };
-            })
-      end)
-    (sample config.dx_kill_points);
-  let r = !report in
-  if r.dx_failure = None && r.dx_states > 0 && r.dx_splits = 0 then
-    {
-      r with
-      dx_failure =
-        Some
-          {
-            cx_ops = [];
-            cx_crash_index = -1;
-            cx_survivors = [];
-            cx_detail =
-              "no sampled state ever split an index node: the campaign is not exercising \
-               the multi-store tree mutations it claims to";
-          };
-    }
-  else r
+  with_dir_capacity @@ fun () ->
+  kill_campaign ~counts:[ "indexed"; "unindexed"; "splits" ] ~vacuous:"splits"
+    ~kills:config.dx_kill_points
+    ~setup:(fun ~sched ~pmem ~mmu ->
+      let ctl = Controller.create ~sched ~pmem ~mmu ~lease_ns:watchdog_timeout_ns () in
+      let libfs = Libfs.mount ~ctl ~proc:1 ~cred () in
+      let fs = Libfs.ops libfs in
+      Sched.spawn sched (fun () ->
+          Sched.killable (fun () -> dir_victim fs libfs config.dx_entries));
+      (pmem, ctl))
+    (fun _ (pmem, ctl) ->
+      let& () = reclaim ctl in
+      let& () = certified ctl in
+      let root =
+        Layout.read_dindex_root pmem ~actor:Pmem.kernel_actor ~dentry_addr:Layout.root_dentry_addr
+      in
+      tally
+        [
+          ((if root <> 0 then "indexed" else "unindexed"), 1);
+          ("splits", int_of_float (Stats.get (Controller.stats ctl) "verify.dindex.splits"));
+        ])
 
-(* Mutation self-test: with index maintenance silently dropped, the
-   verifier's I5 must flag the divergence at the sharing point.  Returns
-   [true] when it was caught. *)
-let dir_index_mutation_caught ?(capacity = 4) () =
+(* The verifier's own self-test for this plane: with index maintenance
+   silently dropped (what a buggy or malicious LibFS would do), I5 must
+   flag the divergence at the sharing point.  Returns [true] when it
+   was caught. *)
+let dir_index_mutation_caught () =
+  with_dir_capacity @@ fun () ->
   in_world (fun ~sched ~pmem ~mmu ->
-      ignore (pmem : Pmem.t);
-      Dirindex.set_test_capacity (Some capacity);
-      Fun.protect
-        ~finally:(fun () ->
-          Dirindex.set_test_capacity None;
-          Libfs.set_skip_index_updates false)
-      @@ fun () ->
       let ctl = Controller.create ~sched ~pmem ~mmu () in
       let libfs = Libfs.mount ~ctl ~proc:1 ~cred () in
       let fs = Libfs.ops libfs in
@@ -1514,12 +1065,11 @@ let dir_index_mutation_caught ?(capacity = 4) () =
       if Controller.corruption_events ctl <> [] then
         failwith "dir_index_mutation_caught: honest prefix was flagged";
       (* sabotage: dentries keep landing, the tree stops being maintained *)
-      Libfs.set_skip_index_updates true;
-      for i = 6 to 11 do
-        ignore (Fs.write_file fs (Printf.sprintf "/m%d" i) "stale" : (unit, _) result)
-      done;
-      Libfs.unmap_everything libfs;
+      armed Libfs.set_skip_index_updates (fun () ->
+          for i = 6 to 11 do
+            ignore (Fs.write_file fs (Printf.sprintf "/m%d" i) "stale" : (unit, _) result)
+          done;
+          Libfs.unmap_everything libfs);
       List.exists
-        (fun (_, _, vs) ->
-          List.exists (fun v -> v.Trio_core.Verifier.check = `I5) vs)
+        (fun (_, _, vs) -> List.exists (fun v -> v.Trio_core.Verifier.check = `I5) vs)
         (Controller.corruption_events ctl))

@@ -561,7 +561,7 @@ let build ?stats pm ~actor ~alloc ~free ~entries =
         in
         match mk_parents groups with None -> None | Some parents -> mk_level (level + 1) (Some parents))
     in
-    match mk_level 1 (Some (Option.value (mk_leaves leaf_groups) ~default:[])) with
+    match mk_level 1 (mk_leaves leaf_groups) with
     | Some root when not !failed -> Ok (root, List.rev !used)
     | _ ->
       List.iter free !used;

@@ -188,6 +188,17 @@ let test_boundaries () =
             if not (List.mem a addrs) then Alcotest.failf "key %d lost across split" a
           done))
 
+(* Building over an exhausted allocator fails cleanly with Nospace
+   instead of retrying forever. *)
+let test_build_nospace () =
+  with_tree (fun pm _alloc free ->
+      match
+        Dirindex.build pm ~actor:Pmem.kernel_actor ~alloc:(fun () -> None) ~free
+          ~entries:[ (1, 100); (2, 200) ]
+      with
+      | Error `Nospace -> ()
+      | Ok _ -> Alcotest.fail "build succeeded without any pages")
+
 (* ------------------------------------------------------------------ *)
 (* LibFS integration *)
 
@@ -257,17 +268,17 @@ let test_readdir_order () =
 let test_explore_kills () =
   let config =
     if deep then Explore.default_dir_config
-    else { Explore.default_dir_config with Explore.dx_kill_points = 8; dx_entries = 12 }
+    else { Explore.dx_kill_points = 8; dx_entries = 12 }
   in
   let r = Explore.explore_dir_index ~config () in
-  (match r.Explore.dx_failure with
+  (match r.Explore.failure with
   | None -> ()
   | Some cx -> Alcotest.failf "%a" Explore.pp_counterexample cx);
-  Alcotest.(check bool) "sampled states" true (r.Explore.dx_states > 0);
+  Alcotest.(check bool) "sampled states" true (r.Explore.states > 0);
   Alcotest.(check int)
-    "every state certified" r.Explore.dx_states
-    (r.Explore.dx_indexed + r.Explore.dx_unindexed);
-  Alcotest.(check bool) "splits reached" true (r.Explore.dx_splits > 0)
+    "every state certified" r.Explore.states
+    (Explore.count r "indexed" + Explore.count r "unindexed");
+  Alcotest.(check bool) "splits reached" true (Explore.count r "splits" > 0)
 
 (* The detection self-test: a LibFS that silently skips index
    maintenance must be caught by I5 at the sharing point (and the
@@ -283,6 +294,7 @@ let () =
           Alcotest.test_case "insert/lookup/delete at scale" `Quick test_scale;
           Alcotest.test_case "duplicate hashes" `Quick test_duplicate_hashes;
           Alcotest.test_case "empty tree and first split" `Quick test_boundaries;
+          Alcotest.test_case "build without pages" `Quick test_build_nospace;
         ] );
       ( "libfs",
         [

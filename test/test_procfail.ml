@@ -399,17 +399,15 @@ let test_ring_killed_mid_enqueue () =
 let explore_seed seed =
   let rng = Rng.create seed in
   let ops = Script.generate rng ~len:6 in
-  let config =
-    { Explore.default_proc_config with pd_seed = seed; pd_kill_points = 6; pd_hang_points = 2 }
-  in
+  let config = { Explore.default_proc_config with pd_kill_points = 6; pd_hang_points = 2 } in
   let report = Explore.explore_proc_death ~config ops in
-  (match report.Explore.pr_failure with
+  (match report.Explore.failure with
   | None -> ()
   | Some cx -> Alcotest.failf "seed %d:@.%a" seed Explore.pp_counterexample cx);
-  Alcotest.(check int) "no leaks" 0 report.Explore.pr_leaked;
-  Alcotest.(check bool) "states explored" true (report.Explore.pr_states > 0);
+  Alcotest.(check int) "no leaks" 0 report.Explore.leaked;
+  Alcotest.(check bool) "states explored" true (report.Explore.states > 0);
   Alcotest.(check bool) "victims escalated" true
-    (report.Explore.pr_escalated >= report.Explore.pr_states)
+    (report.Explore.escalated >= report.Explore.states)
 
 let test_explore_seed_1 () = explore_seed 1
 let test_explore_seed_7 () = explore_seed 7
@@ -420,46 +418,48 @@ let test_explore_ring_seed () =
      park, and the accounting invariant must hold at each of them. *)
   let rng = Rng.create 11 in
   let ops = Script.generate rng ~len:5 in
-  let config =
-    {
-      Explore.default_proc_config with
-      pd_seed = 11;
-      pd_kill_points = 5;
-      pd_hang_points = 2;
-      pd_ring = Some 4;
-    }
-  in
+  let config = { Explore.pd_kill_points = 5; pd_hang_points = 2; pd_ring = Some 4 } in
   let report = Explore.explore_proc_death ~config ops in
-  (match report.Explore.pr_failure with
+  (match report.Explore.failure with
   | None -> ()
   | Some cx -> Alcotest.failf "ring explore:@.%a" Explore.pp_counterexample cx);
-  Alcotest.(check int) "no leaks" 0 report.Explore.pr_leaked;
-  Alcotest.(check bool) "states explored" true (report.Explore.pr_states > 0)
+  Alcotest.(check int) "no leaks" 0 report.Explore.leaked;
+  Alcotest.(check bool) "states explored" true (report.Explore.states > 0)
+
+(* With the skip-GC mutation armed the explorer must fail on page
+   accounting. *)
+let skip_gc_self_test () =
+  let rng = Rng.create 3 in
+  let ops = Script.generate rng ~len:5 in
+  let config = { Explore.default_proc_config with pd_kill_points = 2; pd_hang_points = 0 } in
+  let run () = Explore.explore_proc_death ~config ops in
+  (run, Explore.self_test ~arm:Controller.set_crash_test_skip_gc ~expect:Explore.Accounting run)
 
 let test_explore_catches_skip_gc () =
   (* End to end: with the mutation armed the explorer must fail on the
      leak invariant; with it off the same exploration is clean. *)
-  let rng = Rng.create 3 in
-  let ops = Script.generate rng ~len:5 in
-  let config =
-    { Explore.default_proc_config with pd_seed = 3; pd_kill_points = 2; pd_hang_points = 0 }
-  in
-  Controller.set_crash_test_skip_gc true;
-  let mutated =
-    Fun.protect
-      ~finally:(fun () -> Controller.set_crash_test_skip_gc false)
-      (fun () -> Explore.explore_proc_death ~config ops)
-  in
-  (match mutated.Explore.pr_failure with
-  | Some cx
-    when String.length cx.Explore.cx_detail >= 15
-         && String.sub cx.Explore.cx_detail 0 15 = "page accounting" -> ()
-  | Some cx -> Alcotest.failf "mutation caught by the wrong check: %s" cx.Explore.cx_detail
-  | None -> Alcotest.fail "skip-GC mutation was not caught by the leak invariant");
-  let clean = Explore.explore_proc_death ~config ops in
-  match clean.Explore.pr_failure with
+  let run, (mutated, caught) = skip_gc_self_test () in
+  if not caught then
+    Alcotest.failf "skip-GC mutation not caught as an accounting failure:@.%a" Explore.pp mutated;
+  match (run ()).Explore.failure with
   | None -> ()
   | Some cx -> Alcotest.failf "clean run failed:@.%a" Explore.pp_counterexample cx
+
+(* A kill point counts Sched delays, not stores: the counterexample must
+   name the kill and must not offer a crashcheck replay. *)
+let test_kill_counterexample_has_no_store_replay () =
+  let _, (mutated, _) = skip_gc_self_test () in
+  match mutated.Explore.failure with
+  | None -> Alcotest.fail "expected a failing kill state"
+  | Some cx ->
+    let text = Format.asprintf "%a" Explore.pp_counterexample cx in
+    let contains sub =
+      let n = String.length sub in
+      let rec go i = i + n <= String.length text && (String.sub text i n = sub || go (i + 1)) in
+      go 0
+    in
+    Alcotest.(check bool) "names the kill point" true (contains "kill at kill point");
+    Alcotest.(check bool) "no crashcheck replay" false (contains "crashcheck")
 
 let () =
   Alcotest.run "procfail"
@@ -510,5 +510,7 @@ let () =
           Alcotest.test_case "ring-mounted victims" `Quick test_explore_ring_seed;
           Alcotest.test_case "skip-GC mutation caught end to end" `Quick
             test_explore_catches_skip_gc;
+          Alcotest.test_case "kill counterexample has no store replay" `Quick
+            test_kill_counterexample_has_no_store_replay;
         ] );
     ]

@@ -239,32 +239,27 @@ let test_ycsb_isolation_under_chaos () =
 (* ------------------------------------------------------------------ *)
 (* Exploration: kills inside throttled/parked states *)
 
-let explore_config =
-  { Explore.default_qos_config with qd_kill_points = 6; qd_ops = 6 }
+let explore_config = { Explore.qd_kill_points = 6; qd_ops = 6 }
 
 let test_explore_qos () =
   let r = Explore.explore_qos ~config:explore_config () in
-  (match r.Explore.qr_failure with
+  (match r.Explore.failure with
   | None -> ()
   | Some cx -> Alcotest.failf "explore_qos failed:@.%a" Explore.pp_counterexample cx);
-  Alcotest.(check bool) "sampled states" true (r.Explore.qr_states > 0);
-  Alcotest.(check bool) "victim was throttled" true (r.Explore.qr_throttles > 0);
-  Alcotest.(check bool) "every state escalated" true (r.Explore.qr_escalated >= r.Explore.qr_states);
-  Alcotest.(check int) "no leaks at any kill point" 0 r.Explore.qr_leaked
+  Alcotest.(check bool) "sampled states" true (r.Explore.states > 0);
+  Alcotest.(check bool) "victim was throttled" true (Explore.count r "throttles" > 0);
+  Alcotest.(check bool) "every state escalated" true (r.Explore.escalated >= r.Explore.states);
+  Alcotest.(check int) "no leaks at any kill point" 0 r.Explore.leaked
 
 (* Mutation self-test: with the bypass hook on, the tenant is charged
    zero — the campaign must notice that its victim never throttles. *)
 let test_explore_qos_catches_bypass_mutation () =
-  Controller.set_qos_bypass true;
-  Fun.protect ~finally:(fun () -> Controller.set_qos_bypass false) @@ fun () ->
-  let r = Explore.explore_qos ~config:explore_config () in
-  match r.Explore.qr_failure with
-  | Some cx
-    when String.length cx.Explore.cx_detail >= 30
-         && String.sub cx.Explore.cx_detail 0 30 = "the victim was never throttled" ->
-    ()
-  | Some cx -> Alcotest.failf "mutation caught by the wrong check: %s" cx.Explore.cx_detail
-  | None -> Alcotest.fail "throttle-bypass mutation was not caught"
+  let r, caught =
+    Explore.self_test ~arm:Controller.set_qos_bypass ~expect:Explore.Vacuous (fun () ->
+        Explore.explore_qos ~config:explore_config ())
+  in
+  if not caught then
+    Alcotest.failf "throttle-bypass mutation not caught as a vacuous campaign:@.%a" Explore.pp r
 
 let () =
   Alcotest.run "qos"

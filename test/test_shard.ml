@@ -80,16 +80,15 @@ let test_pool_exhaustion_batch_refill () =
 let test_proc_death_invariant_across_shards () =
   let rng = Rng.create 11 in
   let ops = Script.generate rng ~len:5 in
-  let config =
-    { Explore.default_proc_config with pd_seed = 11; pd_kill_points = 4; pd_hang_points = 1 }
-  in
+  let config = { Explore.default_proc_config with pd_kill_points = 4; pd_hang_points = 1 } in
   let r = Explore.explore_proc_death ~config ops in
-  (match r.Explore.pr_failure with
+  (match r.Explore.failure with
   | None -> ()
   | Some cx -> Alcotest.failf "proc-death state failed:@.%a" Explore.pp_counterexample cx);
-  Alcotest.(check bool) "states explored" true (r.Explore.pr_states > 0);
-  Alcotest.(check int) "no leaks" 0 r.Explore.pr_leaked;
-  Alcotest.(check int) "no invariant failures" 0 r.Explore.pr_invariant_failures
+  Alcotest.(check bool) "states explored" true (r.Explore.states > 0);
+  Alcotest.(check int) "no leaks" 0 r.Explore.leaked;
+  Alcotest.(check bool) "no accounting failure" false
+    (Explore.caught ~expect:Explore.Accounting r)
 
 let test_faults_invariant_across_shards () =
   let rng = Rng.create 23 in
@@ -104,10 +103,10 @@ let test_faults_invariant_across_shards () =
     }
   in
   let r = Explore.explore_faults ~config ops in
-  (match r.Explore.fr_failure with
+  (match r.Explore.failure with
   | None -> ()
   | Some cx -> Alcotest.failf "faulted state failed:@.%a" Explore.pp_counterexample cx);
-  Alcotest.(check bool) "states explored" true (r.Explore.fr_states > 0)
+  Alcotest.(check bool) "states explored" true (r.Explore.states > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-shard rename: the two-shard ordered-lock path *)

@@ -352,41 +352,42 @@ let explore_ops = parse_script "mkdir /d00; create /n00; write /n00 900; create 
 
 let test_crash_during_commit_safe () =
   let o = Explore.explore_snapshot_commit explore_ops in
-  (match o.Explore.sn_failure with
+  (match o.Explore.failure with
   | None -> ()
   | Some cx -> Alcotest.failf "%s" (explain cx));
-  if o.Explore.sn_points < 2 then
-    Alcotest.failf "degenerate exploration: %d kill points" o.Explore.sn_points;
-  Alcotest.(check bool) "states explored" true (o.Explore.sn_states > 0);
-  Alcotest.(check int) "no zero-root states" 0 o.Explore.sn_zero_roots;
-  Alcotest.(check int) "no fsck fallbacks" 0 o.Explore.sn_fsck
+  if o.Explore.points < 2 then
+    Alcotest.failf "degenerate exploration: %d kill points" o.Explore.points;
+  Alcotest.(check bool) "states explored" true (o.Explore.states > 0);
+  Alcotest.(check int) "no zero-root states" 0 (Explore.count o "zero-root");
+  Alcotest.(check int) "no fsck fallbacks" 0 (Explore.count o "fsck")
 
 let test_crash_during_commit_random_scripts () =
   List.iter
     (fun seed ->
       let rng = Rng.create seed in
       let ops = Script.generate rng ~len:5 in
-      let config = { Explore.default_snap_config with sc_kill_points = 10 } in
+      let config = { Explore.sc_kill_points = 10 } in
       let o = Explore.explore_snapshot_commit ~config ops in
-      match o.Explore.sn_failure with
+      match o.Explore.failure with
       | None -> ()
       | Some cx -> Alcotest.failf "seed %d: %s" seed (explain cx))
     [ 11; 42 ]
 
 (* Mutation self-test: with the commit ordering sabotaged (root record
-   first, payload second, into the live slot), the campaign must
-   observe at least one zero-valid-root crash state — proof it can see
+   first, payload second, into the live slot), the campaign must fail
+   with a root loss at a zero-valid-root crash state — proof it can see
    the bug class. *)
 let test_torn_commit_caught () =
-  let config = { Explore.sc_kill_points = 16; sc_torn = true } in
-  let o = Explore.explore_snapshot_commit ~config explore_ops in
-  (match o.Explore.sn_failure with
-  | None -> ()
-  | Some cx -> Alcotest.failf "torn-mode exploration broke elsewhere: %s" (explain cx));
-  if o.Explore.sn_zero_roots = 0 then
+  let o, caught =
+    Explore.self_test ~arm:Controller.set_snap_torn_commit ~expect:Explore.Root_loss (fun () ->
+        Explore.explore_snapshot_commit ~config:{ Explore.sc_kill_points = 16 } explore_ops)
+  in
+  if not caught then
+    Alcotest.failf "sabotaged commit ordering not caught as a root loss:@.%a" Explore.pp o;
+  if Explore.count o "zero-root" = 0 then
     Alcotest.failf
       "sabotaged commit ordering not caught: %d states, no zero-root window observed"
-      o.Explore.sn_states
+      o.Explore.states
 
 let () =
   Alcotest.run "snapshot"
