@@ -1,6 +1,6 @@
 # Convenience entry points; the project itself is a plain dune build.
 
-.PHONY: all build test check clean bench crashcheck-quick crashcheck-deep faultcheck proccheck verifycheck shardcheck ringcheck snapcheck qoscheck dircheck fmt
+.PHONY: all build quick test check crashcheck-deep fmt bench clean
 
 all: build
 
@@ -15,68 +15,29 @@ quick:
 test:
 	dune runtest
 
-# The pre-commit gate: everything compiles and every test passes
-# (dune runtest includes test_crash, i.e. the bounded crash-state
-# exploration, mutation check and cross-FS differential fuzz).
-check: crashcheck-quick faultcheck proccheck verifycheck shardcheck ringcheck snapcheck qoscheck dircheck
-
-# Verification-plane gate: full vs incremental verification must give
-# byte-identical verdicts over the attack suite, the corruption
-# campaign and a pinned-seed crash exploration — and the sabotaged
-# dirty-tracking mutation must make them diverge (exit 0 BECAUSE the
-# divergence was caught).
-verifycheck:
+# The pre-commit gate, one command per line, each run once:
+# - every test suite (crash-state exploration, media faults, verifier,
+#   sharding, rings, process failure, snapshots, QoS, directory index);
+# - the pinned-seed explorers and plane demos from the command line;
+# - `trioctl mutate`: every seeded bug must be caught by its own gate;
+# - the plane bench gates (snapshot recovery >= 5x the fsck walk,
+#   honest p99 under attack <= 2x baseline, index >= 10x the linear
+#   scan); under --fast they print their JSON instead of writing it.
+check:
 	dune build
-	dune exec test/test_verifier.exe
-	dune exec bin/trioctl.exe -- verifycheck
-	dune exec bin/trioctl.exe -- verifycheck --mutate
-
-# NUMA-sharding gate: shard routing, per-socket pool refill/drain, the
-# balanced accounting invariant across the failure-plane explorers, and
-# the cross-shard rename paths (two-shard ordered locking, writer
-# death mid-rename).
-shardcheck:
-	dune build
-	dune exec test/test_shard.exe
-
-fmt:
-	dune build @fmt
-
-# Ring-plane gate: the ring protocol suite (wrap-around, backpressure,
-# completion correspondence, batch-drain equivalence, every-Delay-point
-# kill sweep, conformance over the batched plane), plus a pinned-seed
-# process-death exploration with ring-mounted victims.
-ringcheck:
-	dune build
-	dune exec test/test_ring.exe
-	dune exec bin/trioctl.exe -- procfail --seed 1 --scripts 2 --ops 6 --ring 4
-
-# Process-failure plane gate: the seeded kill/hang/watchdog/GC unit and
-# property tests, a pinned-seed exploration of process-death states
-# from the command line, and the skip-GC mutation self-test (the run
-# must exit 0 BECAUSE the leak invariant caught the disabled GC).
-proccheck:
-	dune build
-	dune exec test/test_procfail.exe
-	dune exec bin/trioctl.exe -- procfail --seed 1 --scripts 2 --ops 6
-	dune exec bin/trioctl.exe -- procfail --seed 5 --scripts 1 --ops 5 --kill-points 3 --hang-points 1 --mutate
-
-# Media-fault plane gate: pinned-seed fault/scrub regressions, the
-# crash x fault composed exploration, and an end-to-end workload with
-# nonzero injection that must finish with zero uncaught exceptions.
-faultcheck:
-	dune build
-	dune exec test/test_nvm.exe -- test faults
-	dune exec test/test_core.exe -- test scrub
-	dune exec test/test_crash.exe -- test faults
+	dune runtest
+	dune exec bin/trioctl.exe -- crashcheck --seed 1 --scripts 2 --ops 6
 	dune exec bin/trioctl.exe -- faults --seed 42 --transient-p 0.01 --stuck-p 0.02
 	dune exec bin/trioctl.exe -- scrub --seed 7 --lines 12 --rounds 2
-
-# Bounded deterministic crash-state exploration from the command line:
-# a fixed seed, small scripts, exhaustive subset enumeration.
-crashcheck-quick:
-	dune build && dune runtest
-	dune exec bin/trioctl.exe -- crashcheck --seed 1 --scripts 2 --ops 6
+	dune exec bin/trioctl.exe -- verifycheck
+	dune exec bin/trioctl.exe -- procfail --seed 1 --scripts 2 --ops 6
+	dune exec bin/trioctl.exe -- procfail --seed 1 --scripts 2 --ops 6 --ring 4
+	dune exec bin/trioctl.exe -- snap
+	dune exec bin/trioctl.exe -- snap --explore 2 --ops 5 --kill-points 10
+	dune exec bin/trioctl.exe -- qos --kill-points 6 --ops 6
+	dune exec bin/trioctl.exe -- dircheck
+	dune exec bin/trioctl.exe -- mutate
+	dune exec bench/main.exe -- --fast snaprecover qos dirscale
 
 # Full exploration: more seeds, longer scripts, wider sampling, and the
 # deep tier of test_crash (CRASHCHECK_DEEP=1).
@@ -86,46 +47,8 @@ crashcheck-deep:
 	dune exec bin/trioctl.exe -- crashcheck --seed 1 --scripts 8 --ops 12 --samples 10
 	dune exec bin/trioctl.exe -- crashcheck --diff --scripts 4 --ops 10
 
-# Snapshot-plane gate: the snapshot unit/regression suite (root slots,
-# pinning accounting, ECC-gated rollback, recovery ladder), the
-# crash-during-commit exploration (every sampled kill point must leave
-# a certifiable root), the torn-commit mutation self-test (exit 0
-# BECAUSE the zero-valid-root window was observed), the take/list/
-# rollback/clone demo, and the recovery-speed differential gate.
-snapcheck:
-	dune build
-	dune exec test/test_snapshot.exe
-	dune exec bin/trioctl.exe -- snap
-	dune exec bin/trioctl.exe -- snap --explore 2 --ops 5 --kill-points 10
-	dune exec bin/trioctl.exe -- snap --mutate --ops 4 --kill-points 12
-	dune exec bench/main.exe -- --fast snaprecover
-
-# Multi-tenant QoS gate: the token-bucket/backpressure/retry-deadline
-# suite (including the YCSB byzantine/SIGKILL composition and the
-# kills-inside-throttle-parks exploration), the trioctl qos dump, the
-# charge-bypass mutation self-test (exit 0 BECAUSE the campaign noticed
-# the victim was never throttled), and the noisy-neighbour isolation
-# bench (honest p99 within 2x of the all-honest baseline).
-qoscheck:
-	dune build
-	dune exec test/test_qos.exe
-	dune exec bin/trioctl.exe -- qos --kill-points 6 --ops 6
-	dune exec bin/trioctl.exe -- qos --mutate --kill-points 6 --ops 6
-	dune exec bench/main.exe -- --fast qos
-
-# Directory-index gate: the B-link tree suite (scale, collisions,
-# split boundaries, rename across indexed directories, the readdir
-# ordering contract, kills inside index updates), the trioctl dircheck
-# exploration, the skip-index-update mutation self-test (exit 0
-# BECAUSE verifier invariant I5 caught the unmaintained tree), and the
-# dirscale bench gate (index >= 10x the linear scan, sub-linear
-# growth, readdir via range scan).
-dircheck:
-	dune build
-	dune exec test/test_dirindex.exe
-	dune exec bin/trioctl.exe -- dircheck
-	dune exec bin/trioctl.exe -- dircheck --mutate
-	dune exec bench/main.exe -- --fast dirscale
+fmt:
+	dune build @fmt
 
 bench:
 	dune exec bench/main.exe

@@ -89,6 +89,59 @@ let print_row_with_breakdown name results =
   | [] -> ()
 
 (* ------------------------------------------------------------------ *)
+(* Plane gates: one JSON trajectory writer and one verdict tail *)
+
+(* [Fixed (d, v)] prints [v] with [d] decimals. *)
+type json =
+  | Int of int
+  | Fixed of int * float
+  | Bool of bool
+  | Str of string
+  | Null
+  | List of json list
+  | Obj of (string * json) list
+
+let fixed d = function Some v -> Fixed (d, v) | None -> Null
+
+(* One field per line at the top level, one element per line in a
+   top-level list, everything deeper on one line. *)
+let json_to_string fields =
+  let rec inline = function
+    | Int i -> string_of_int i
+    | Fixed (d, v) -> Printf.sprintf "%.*f" d v
+    | Bool b -> string_of_bool b
+    | Str s -> Printf.sprintf "%S" s
+    | Null -> "null"
+    | List l -> "[ " ^ String.concat ", " (List.map inline l) ^ " ]"
+    | Obj kvs -> "{ " ^ String.concat ", " (List.map field kvs) ^ " }"
+  and field (k, v) = Printf.sprintf "%S: %s" k (inline v) in
+  let top = function
+    | k, List l ->
+      Printf.sprintf "%S: [\n%s\n  ]" k
+        (String.concat ",\n" (List.map (fun e -> "    " ^ inline e) l))
+    | kv -> field kv
+  in
+  "{\n" ^ String.concat ",\n" (List.map (fun kv -> "  " ^ top kv) fields) ^ "\n}\n"
+
+(* Write the trajectory, ending in its [verdict] field, to [file] —
+   under --fast print it instead, so a quick gate run never overwrites a
+   committed full sweep — then report the verdict and exit 1 unless it
+   passed. *)
+let gate ~file ?(verdict = "pass") ~pass ~failure fields =
+  let json = json_to_string (fields @ [ (verdict, Bool pass) ]) in
+  if !fast then Printf.printf "%s%s not written under --fast (%s: %b)\n" json file verdict pass
+  else begin
+    let oc = open_out file in
+    output_string oc json;
+    close_out oc;
+    Printf.printf "wrote %s (%s: %b)\n" file verdict pass
+  end;
+  if not pass then begin
+    Printf.eprintf "FAILED: %s\n" failure;
+    exit 1
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Figure 5: single-thread performance *)
 
 let fig5 () =
@@ -860,28 +913,28 @@ let shardscale () =
     ok points
   in
   let all_ok = List.for_all (fun (_, points) -> monotone points) results in
-  let oc = open_out "BENCH_shard_scaling.json" in
-  Printf.fprintf oc "{\n  \"bench\": \"shard_scaling\",\n  \"threads\": %d,\n" threads;
-  Printf.fprintf oc "  \"total_cpus\": %d,\n  \"total_pages\": %d,\n" total_cpus total_pages;
-  Printf.fprintf oc "  \"workloads\": [\n";
-  List.iteri
-    (fun i (name, points) ->
-      Printf.fprintf oc "    { \"name\": %S, \"points\": [ " name;
-      List.iteri
-        (fun j (n, v) ->
-          Printf.fprintf oc "%s{ \"sockets\": %d, \"ops_per_us\": %.4f }"
-            (if j > 0 then ", " else "")
-            n v)
-        points;
-      Printf.fprintf oc " ] }%s\n" (if i < List.length results - 1 then "," else ""))
-    results;
-  Printf.fprintf oc "  ],\n  \"monotonic\": %b\n}\n" all_ok;
-  close_out oc;
-  Printf.printf "wrote BENCH_shard_scaling.json (monotonic: %b)\n" all_ok;
-  if not all_ok then begin
-    Printf.eprintf "FAILED: throughput not monotonically increasing with socket count\n";
-    exit 1
-  end
+  gate ~file:"BENCH_shard_scaling.json" ~verdict:"monotonic" ~pass:all_ok
+    ~failure:"throughput not monotonically increasing with socket count"
+    [
+      ("bench", Str "shard_scaling");
+      ("threads", Int threads);
+      ("total_cpus", Int total_cpus);
+      ("total_pages", Int total_pages);
+      ( "workloads",
+        List
+          (List.map
+             (fun (name, points) ->
+               Obj
+                 [
+                   ("name", Str name);
+                   ( "points",
+                     List
+                       (List.map
+                          (fun (n, v) -> Obj [ ("sockets", Int n); ("ops_per_us", Fixed (4, v)) ])
+                          points) );
+                 ])
+             results) );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Ring batching: the submission/completion ring vs per-op syscalls *)
@@ -949,26 +1002,26 @@ let ringbatch () =
   let pass =
     List.for_all (fun (n, _, _, sp) -> n < 32 || sp >= required) points
   in
-  let oc = open_out "BENCH_ring_batching.json" in
-  Printf.fprintf oc "{\n  \"bench\": \"ring_batching\",\n  \"ring_depth\": %d,\n" depth;
-  Printf.fprintf oc "  \"workload\": \"create-close-unlink, unmap_after_write\",\n";
-  Printf.fprintf oc "  \"points\": [\n";
-  List.iteri
-    (fun i (n, sync, batched, sp) ->
-      Printf.fprintf oc
-        "    { \"procs\": %d, \"sync_ops_per_us\": %.4f, \"ring_ops_per_us\": %.4f, \
-         \"speedup\": %.3f }%s\n"
-        n sync batched sp
-        (if i < List.length points - 1 then "," else ""))
-    points;
-  Printf.fprintf oc "  ],\n  \"required_speedup\": %.2f,\n  \"pass\": %b\n}\n" required pass;
-  close_out oc;
-  Printf.printf "wrote BENCH_ring_batching.json (pass: %b)\n" pass;
-  if not pass then begin
-    Printf.eprintf "FAILED: batched plane under %.1fx of synchronous at >= 32 processes\n"
-      required;
-    exit 1
-  end
+  gate ~file:"BENCH_ring_batching.json" ~pass
+    ~failure:(Printf.sprintf "batched plane under %.1fx of synchronous at >= 32 processes" required)
+    [
+      ("bench", Str "ring_batching");
+      ("ring_depth", Int depth);
+      ("workload", Str "create-close-unlink, unmap_after_write");
+      ( "points",
+        List
+          (List.map
+             (fun (n, sync, batched, sp) ->
+               Obj
+                 [
+                   ("procs", Int n);
+                   ("sync_ops_per_us", Fixed (4, sync));
+                   ("ring_ops_per_us", Fixed (4, batched));
+                   ("speedup", Fixed (3, sp));
+                 ])
+             points) );
+      ("required_speedup", Fixed (2, required));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot recovery: mount-the-newest-intact-root vs the fsck walk *)
@@ -1042,21 +1095,17 @@ let snaprecover () =
       Printf.printf "  recovery-to-root speedup: %.1fx\n" speedup;
       let required = 5.0 in
       let pass = speedup >= required in
-      let oc = open_out "BENCH_snapshot_recovery.json" in
-      Printf.fprintf oc "{\n  \"bench\": \"snapshot_recovery\",\n";
-      Printf.fprintf oc "  \"files\": %d,\n  \"snapshot_epoch\": %d,\n" files epoch;
-      Printf.fprintf oc "  \"mount_root_us\": %.3f,\n  \"fsck_audit_us\": %.3f,\n"
-        (root_ns /. 1e3) (fsck_ns /. 1e3);
-      Printf.fprintf oc "  \"speedup\": %.3f,\n  \"required_speedup\": %.2f,\n  \"pass\": %b\n}\n"
-        speedup required pass;
-      close_out oc;
-      Printf.printf "wrote BENCH_snapshot_recovery.json (pass: %b)\n" pass;
-      if not pass then begin
-        Printf.eprintf "FAILED: root mount under %.1fx of the fsck walk\n" required;
-        exit 1
-      end;
-      0)
-  |> ignore
+      gate ~file:"BENCH_snapshot_recovery.json" ~pass
+        ~failure:(Printf.sprintf "root mount under %.1fx of the fsck walk" required)
+        [
+          ("bench", Str "snapshot_recovery");
+          ("files", Int files);
+          ("snapshot_epoch", Int epoch);
+          ("mount_root_us", Fixed (3, root_ns /. 1e3));
+          ("fsck_audit_us", Fixed (3, fsck_ns /. 1e3));
+          ("speedup", Fixed (3, speedup));
+          ("required_speedup", Fixed (2, required));
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* Multi-tenant QoS: noisy-neighbour isolation *)
@@ -1153,29 +1202,30 @@ let qos () =
     List.for_all (fun (_, _, _, ratio) -> ratio <= required) rows
     && honest_clean && killer.Ycsb.y_killed && gc_ok
   in
-  let oc = open_out "BENCH_tenant_isolation.json" in
-  Printf.fprintf oc "{\n  \"bench\": \"tenant_isolation\",\n";
-  Printf.fprintf oc "  \"records\": %d,\n  \"ops_per_tenant\": %d,\n" records ops;
-  Printf.fprintf oc "  \"tenants\": [\n";
-  List.iteri
-    (fun i (name, b, a, ratio) ->
-      Printf.fprintf oc
-        "    { \"tenant\": %S, \"baseline_p99_ns\": %.0f, \"attacked_p99_ns\": %.0f, \
-         \"ratio\": %.3f }%s\n"
-        name b.Ycsb.y_p99 a.Ycsb.y_p99 ratio
-        (if i < List.length rows - 1 then "," else ""))
-    rows;
-  Printf.fprintf oc "  ],\n  \"killer_killed\": %b,\n  \"gc_balanced\": %b,\n"
-    killer.Ycsb.y_killed gc_ok;
-  Printf.fprintf oc "  \"required_ratio\": %.2f,\n  \"pass\": %b\n}\n" required pass;
-  close_out oc;
-  Printf.printf "wrote BENCH_tenant_isolation.json (pass: %b)\n" pass;
-  if not pass then begin
-    Printf.eprintf
-      "FAILED: honest p99 above %.1fx baseline (or reclamation failed) under attack\n"
-      required;
-    exit 1
-  end
+  gate ~file:"BENCH_tenant_isolation.json" ~pass
+    ~failure:
+      (Printf.sprintf "honest p99 above %.1fx baseline (or reclamation failed) under attack"
+         required)
+    [
+      ("bench", Str "tenant_isolation");
+      ("records", Int records);
+      ("ops_per_tenant", Int ops);
+      ( "tenants",
+        List
+          (List.map
+             (fun (name, b, a, ratio) ->
+               Obj
+                 [
+                   ("tenant", Str name);
+                   ("baseline_p99_ns", Fixed (0, b.Ycsb.y_p99));
+                   ("attacked_p99_ns", Fixed (0, a.Ycsb.y_p99));
+                   ("ratio", Fixed (3, ratio));
+                 ])
+             rows) );
+      ("killer_killed", Bool killer.Ycsb.y_killed);
+      ("gc_balanced", Bool gc_ok);
+      ("required_ratio", Fixed (2, required));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Directory scaling: B-link index vs linear dentry-page scan *)
@@ -1203,8 +1253,7 @@ let dirscale () =
     let ppn = 1 lsl 14 in
     Rig.run ~nodes:2 ~cpus_per_node:4 ~pages_per_node:ppn ~store_data:false (fun rig ->
         let sched = rig.Rig.sched in
-        if not indexed then Libfs.set_skip_index_updates true;
-        Fun.protect ~finally:(fun () -> Libfs.set_skip_index_updates false) @@ fun () ->
+        (if indexed then fun f -> f () else Trio_util.Mutation.armed Skip_index) @@ fun () ->
         let writer = Rig.mount_arckfs ~delegated:false rig in
         let fs = Libfs.ops writer in
         ignore (get_ok "mkdir" (fs.Fs.mkdir "/big" 0o755));
@@ -1375,41 +1424,41 @@ let dirscale () =
   in
   let gate_tree = tree_sublinear tree_points in
   let pass = gate_speedup && gate_sublinear && gate_range && gate_tree in
-  let oc = open_out "BENCH_dirscale.json" in
-  Printf.fprintf oc "{\n  \"bench\": \"dirscale\",\n";
-  Printf.fprintf oc "  \"workload\": \"one directory, create/lookup/readdir/delete\",\n";
-  Printf.fprintf oc "  \"points\": [\n";
-  List.iteri
-    (fun i (n, c, l, b, sp, rd, rs, d) ->
-      Printf.fprintf oc
-        "    { \"entries\": %d, \"create_ns\": %.1f, \"lookup_ns\": %.1f, \
-         \"linear_scan_ns\": %s, \"speedup\": %s, \"readdir_ns\": %.1f, \
-         \"readdir_range_scan\": %b, \"delete_ns\": %.1f }%s\n"
-        n c l
-        (match b with Some b -> Printf.sprintf "%.1f" b | None -> "null")
-        (match sp with Some s -> Printf.sprintf "%.2f" s | None -> "null")
-        rd rs d
-        (if i < List.length points - 1 then "," else ""))
-    points;
-  Printf.fprintf oc "  ],\n  \"tree_points\": [\n";
-  List.iteri
-    (fun i (n, ins, lk) ->
-      Printf.fprintf oc
-        "    { \"keys\": %d, \"insert_ns\": %.1f, \"lookup_ns\": %.1f }%s\n" n ins lk
-        (if i < List.length tree_points - 1 then "," else ""))
-    tree_points;
-  Printf.fprintf oc
-    "  ],\n  \"required_speedup\": %.1f,\n  \"speedup_ok\": %b,\n  \"sublinear_ok\": %b,\n  \
-     \"range_scan_ok\": %b,\n  \"tree_sublinear_ok\": %b,\n  \"pass\": %b\n}\n"
-    required gate_speedup gate_sublinear gate_range gate_tree pass;
-  close_out oc;
-  Printf.printf "wrote BENCH_dirscale.json (pass: %b)\n" pass;
-  if not pass then begin
-    Printf.eprintf
-      "FAILED: dirscale gate (speedup %b, sublinear %b, range-scan %b, tree %b)\n"
-      gate_speedup gate_sublinear gate_range gate_tree;
-    exit 1
-  end
+  gate ~file:"BENCH_dirscale.json" ~pass
+    ~failure:
+      (Printf.sprintf "dirscale gate (speedup %b, sublinear %b, range-scan %b, tree %b)"
+         gate_speedup gate_sublinear gate_range gate_tree)
+    [
+      ("bench", Str "dirscale");
+      ("workload", Str "one directory, create/lookup/readdir/delete");
+      ( "points",
+        List
+          (List.map
+             (fun (n, c, l, b, sp, rd, rs, d) ->
+               Obj
+                 [
+                   ("entries", Int n);
+                   ("create_ns", Fixed (1, c));
+                   ("lookup_ns", Fixed (1, l));
+                   ("linear_scan_ns", fixed 1 b);
+                   ("speedup", fixed 2 sp);
+                   ("readdir_ns", Fixed (1, rd));
+                   ("readdir_range_scan", Bool rs);
+                   ("delete_ns", Fixed (1, d));
+                 ])
+             points) );
+      ( "tree_points",
+        List
+          (List.map
+             (fun (n, ins, lk) ->
+               Obj [ ("keys", Int n); ("insert_ns", Fixed (1, ins)); ("lookup_ns", Fixed (1, lk)) ])
+             tree_points) );
+      ("required_speedup", Fixed (1, required));
+      ("speedup_ok", Bool gate_speedup);
+      ("sublinear_ok", Bool gate_sublinear);
+      ("range_scan_ok", Bool gate_range);
+      ("tree_sublinear_ok", Bool gate_tree);
+    ]
 
 let experiments =
   [

@@ -492,30 +492,15 @@ let explore_scripts ~seed ~scripts ~ops explore =
   in
   go 1 Explore.empty
 
-(* Exit 0 when the campaign held — or, given a [mutation] hook and the
-   failure kind it must cause, when the armed run failed with exactly
-   that kind. *)
-let explorer_exit ?mutation run =
-  match mutation with
-  | None -> if Option.is_none (run ()).Explore.failure then 0 else 1
-  | Some (arm, expect) ->
-    let kind = Explore.kind_name expect in
-    if snd (Explore.self_test ~arm ~expect run) then begin
-      Printf.printf "mutation caught: %s failure\n" kind;
-      0
-    end
-    else begin
-      Printf.printf "MUTATION NOT CAUGHT: no %s failure\n" kind;
-      1
-    end
+(* Exit 0 when the campaign held. *)
+let explorer_exit r = if Option.is_none r.Explore.failure then 0 else 1
 
 (* ------------------------------------------------------------------ *)
 (* crashcheck: systematic crash-state exploration / differential fuzzing *)
 
 let crashcheck_cmd =
   let module Differ = Trio_check.Differ in
-  let run script at survive seed scripts ops budget exhaustive_lines samples diff mutate
-      no_shrink =
+  let run script at survive seed scripts ops budget exhaustive_lines samples diff no_shrink =
     let parsed_script =
       Option.map
         (fun s ->
@@ -536,8 +521,6 @@ let crashcheck_cmd =
         shrink = not no_shrink;
       }
     in
-    let arm = if mutate then Arckfs.Journal.set_crash_test_reorder_commit else ignore in
-    Explore.armed arm @@ fun () ->
     match (at, parsed_script) with
     | Some _, None ->
       Printf.eprintf "--at requires --script\n";
@@ -657,14 +640,6 @@ let crashcheck_cmd =
       value & flag
       & info [ "diff" ] ~doc:"Differential mode: diff scripts across all nine file systems")
   in
-  let mutate_arg =
-    Arg.(
-      value & flag
-      & info [ "mutate" ]
-          ~doc:
-            "Enable the seeded journal-commit reordering bug (engine self-test: exploration must \
-             catch it)")
-  in
   let no_shrink_arg =
     Arg.(value & flag & info [ "no-shrink" ] ~doc:"Report counterexamples without minimizing")
   in
@@ -675,13 +650,13 @@ let crashcheck_cmd =
           systems)")
     Term.(
       const run $ script_arg $ at_arg $ survive_arg $ seed_arg $ scripts_arg $ ops_arg
-      $ budget_arg $ exh_arg $ samples_arg $ diff_arg $ mutate_arg $ no_shrink_arg)
+      $ budget_arg $ exh_arg $ samples_arg $ diff_arg $ no_shrink_arg)
 
 (* ------------------------------------------------------------------ *)
 (* procfail: the process-failure plane (DESIGN.md §4.12) *)
 
 let procfail_cmd =
-  let run seed scripts ops kill_points hang_points ring mutate =
+  let run seed scripts ops kill_points hang_points ring =
     let config =
       {
         Explore.pd_kill_points = kill_points;
@@ -691,11 +666,7 @@ let procfail_cmd =
     in
     if ring > 0 then
       Printf.printf "ring mode: victims mount with a depth-%d submission ring\n" ring;
-    if mutate then Printf.printf "skip-GC mutation armed: the leak invariant must catch it\n";
-    let mutation = (Controller.set_crash_test_skip_gc, Explore.Accounting) in
-    explorer_exit
-      ?mutation:(if mutate then Some mutation else None)
-      (fun () -> explore_scripts ~seed ~scripts ~ops (Explore.explore_proc_death ~config))
+    explorer_exit (explore_scripts ~seed ~scripts ~ops (Explore.explore_proc_death ~config))
   in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Script/sampling seed") in
   let scripts_arg =
@@ -720,47 +691,22 @@ let procfail_cmd =
             "Mount victims with a submission/completion ring of $(docv) entries (0 = \
              synchronous path): the watchdog must also tear the ring down")
   in
-  let mutate_arg =
-    Arg.(
-      value & flag
-      & info [ "mutate" ]
-          ~doc:
-            "Disable the orphan GC (engine self-test): exit 0 only if the leak invariant \
-             provably catches it")
-  in
   Cmd.v
     (Cmd.info "procfail"
        ~doc:
          "Kill or wedge a LibFS at sampled points mid-script, then assert watchdog escalation, \
           verifier-gated reclamation and zero leaked pages from a second process")
-    Term.(
-      const run $ seed_arg $ scripts_arg $ ops_arg $ kill_arg $ hang_arg $ ring_arg $ mutate_arg)
+    Term.(const run $ seed_arg $ scripts_arg $ ops_arg $ kill_arg $ hang_arg $ ring_arg)
 
 (* ------------------------------------------------------------------ *)
 (* verifycheck: incremental-vs-full verification differential gate *)
 
 let verifycheck_cmd =
   let module Vdiff = Trio_check.Vdiff in
-  let run seeds script_seed script_len mutate =
-    if mutate then begin
-      Printf.printf
-        "drop-writes mutation armed: incremental verification must diverge from the full walk\n";
-      let v = Vdiff.mutation_self_test ~seeds ~script_seed ~script_len () in
-      Format.printf "%a@." Vdiff.pp_verdict v;
-      if v.Vdiff.vd_diffs <> [] then begin
-        Printf.printf "mutation caught: sabotaged dirty tracking changed the verdicts\n";
-        0
-      end
-      else begin
-        Printf.printf "MUTATION NOT CAUGHT: the differential gate is blind to a broken tracker\n";
-        1
-      end
-    end
-    else begin
-      let v = Vdiff.differential ~seeds ~script_seed ~script_len () in
-      Format.printf "%a@." Vdiff.pp_verdict v;
-      if v.Vdiff.vd_diffs = [] then 0 else 1
-    end
+  let run seeds script_seed script_len =
+    let v = Vdiff.differential ~seeds ~script_seed ~script_len () in
+    Format.printf "%a@." Vdiff.pp_verdict v;
+    if v.Vdiff.vd_diffs = [] then 0 else 1
   in
   let seeds_arg =
     Arg.(value & opt int 2 & info [ "seeds" ] ~doc:"Seeds per corruption-campaign script")
@@ -771,20 +717,12 @@ let verifycheck_cmd =
   let script_len_arg =
     Arg.(value & opt int 6 & info [ "script-len" ] ~doc:"Ops in the exploration script")
   in
-  let mutate_arg =
-    Arg.(
-      value & flag
-      & info [ "mutate" ]
-          ~doc:
-            "Drop pages from the MMU write-set (gate self-test): exit 0 only if the \
-             differential provably catches the sabotaged dirty tracking")
-  in
   Cmd.v
     (Cmd.info "verifycheck"
        ~doc:
          "Run the attack suite and a pinned-seed crash exploration under full and incremental \
           verification and demand byte-identical verdicts")
-    Term.(const run $ seeds_arg $ script_seed_arg $ script_len_arg $ mutate_arg)
+    Term.(const run $ seeds_arg $ script_seed_arg $ script_len_arg)
 
 (* ------------------------------------------------------------------ *)
 (* snap: whole-FS CoW snapshots — take/list/rollback/clone demo, the
@@ -911,20 +849,11 @@ let snap_cmd =
           gc.Controller.gc_snap_pinned;
         0)
   in
-  let run seed files scripts ops kill_points mutate =
-    if mutate then
-      Printf.printf
-        "torn-commit mutation armed: root record published before its payload, into the live \
-         slot\n";
-    if mutate || scripts > 0 then
-      let mutation = (Controller.set_snap_torn_commit, Explore.Root_loss) in
+  let run seed files scripts ops kill_points =
+    if scripts > 0 then
       explorer_exit
-        ?mutation:(if mutate then Some mutation else None)
-        (fun () ->
-          explore_scripts ~seed
-            ~scripts:(if mutate then 1 else scripts)
-            ~ops
-            (Explore.explore_snapshot_commit ~config:{ Explore.sc_kill_points = kill_points }))
+        (explore_scripts ~seed ~scripts ~ops
+           (Explore.explore_snapshot_commit ~config:{ Explore.sc_kill_points = kill_points }))
     else demo files
   in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Script/sampling seed") in
@@ -945,20 +874,12 @@ let snap_cmd =
       value & opt int 12
       & info [ "kill-points" ] ~docv:"N" ~doc:"Sampled kill injection points per script")
   in
-  let mutate_arg =
-    Arg.(
-      value & flag
-      & info [ "mutate" ]
-          ~doc:
-            "Sabotage the commit ordering (engine self-test): exit 0 only if the exploration \
-             provably observes a zero-valid-root crash state")
-  in
   Cmd.v
     (Cmd.info "snap"
        ~doc:
          "Whole-FS CoW snapshots: take, list, verifier-gated rollback and clone, plus the \
           crash-during-commit exploration campaign")
-    Term.(const run $ seed_arg $ files_arg $ scripts_arg $ ops_arg $ kill_arg $ mutate_arg)
+    Term.(const run $ seed_arg $ files_arg $ scripts_arg $ ops_arg $ kill_arg)
 
 (* ------------------------------------------------------------------ *)
 (* micro: one microbenchmark on one fs *)
@@ -1003,55 +924,49 @@ let micro_cmd =
 let qos_cmd =
   let module Ycsb = Trio_workloads.Ycsb in
   let module Attacks = Trio_attacks.Attacks in
-  let run kill_points ops mutate =
-    let config = { Explore.qd_kill_points = kill_points; qd_ops = ops } in
-    let explore () = print_report (Explore.explore_qos ~config ()) in
-    if mutate then begin
-      Printf.printf "bypass mutation armed: every tenant is charged zero tokens\n%!";
-      explorer_exit ~mutation:(Controller.set_qos_bypass, Explore.Vacuous) explore
-    end
-    else begin
-      (* A live multi-tenant mix first so the counters mean something:
-         two honest YCSB tenants, a byzantine noisy neighbour on a
-         starvation share, and a bulk tenant SIGKILLed mid-run. *)
-      Rig.run ~nodes:2 ~cpus_per_node:4 ~pages_per_node:(1 lsl 14) ~store_data:true
-        (fun rig ->
-          let nb = Attacks.noisy_neighbor ~qos_share:0.02 rig in
-          let specs =
-            [
-              Ycsb.spec ~share:1.0 ~ops:40 "honest-a" Ycsb.A;
-              Ycsb.spec ~share:1.0 ~ops:40 "honest-c" Ycsb.C;
-              Ycsb.spec ~share:0.1 ~ops:160 ~kill_after:120 "killer" Ycsb.A;
-            ]
-          in
-          let results =
-            Ycsb.run rig ~records:32 ~value_size:32 ~ring_depth:8
-              ~chaos:[ Attacks.neighbor_fiber nb ] specs
-          in
-          List.iter (fun r -> Format.printf "%a@." Ycsb.pp_tenant_result r) results;
-          Printf.printf "byzantine neighbour: %d cycle(s), %d corruption(s) rejected\n"
-            nb.Attacks.nb_cycles nb.Attacks.nb_rejected;
-          Format.printf "@.per-tenant shares, charges and throttling:@.%a"
-            Controller.pp_qos_stats
-            (Controller.qos_stats rig.Rig.ctl);
-          Format.printf
-            "@.ring plane (SQ-full, park/wake and producer park time per shard):@.%a@."
-            Controller.pp_ring_stats
-            (Controller.ring_stats rig.Rig.ctl);
-          (* Reclaim the SIGKILLed tenant before the rig unmounts. *)
-          Sched.delay 2.0e6;
-          let escalated = Controller.watchdog_once rig.Rig.ctl ~timeout_ns:1.0e6 in
-          ignore (Controller.drain_unverified rig.Rig.ctl : int);
-          let gc = Controller.gc_once rig.Rig.ctl in
-          Printf.printf
-            "reclaim: watchdog escalated %d process(es), gc reclaimed %d page(s), ledger %s\n"
-            (List.length escalated) gc.Controller.gc_reclaimed_pages
-            (if gc.Controller.gc_invariant_ok then "balanced" else "IMBALANCED");
-          0)
-      |> ignore;
-      Printf.printf "\nkill exploration: SIGKILLs inside throttled/parked states\n%!";
-      explorer_exit explore
-    end
+  let run kill_points ops =
+    (* A live multi-tenant mix first so the counters mean something:
+       two honest YCSB tenants, a byzantine noisy neighbour on a
+       starvation share, and a bulk tenant SIGKILLed mid-run. *)
+    Rig.run ~nodes:2 ~cpus_per_node:4 ~pages_per_node:(1 lsl 14) ~store_data:true
+      (fun rig ->
+        let nb = Attacks.noisy_neighbor ~qos_share:0.02 rig in
+        let specs =
+          [
+            Ycsb.spec ~share:1.0 ~ops:40 "honest-a" Ycsb.A;
+            Ycsb.spec ~share:1.0 ~ops:40 "honest-c" Ycsb.C;
+            Ycsb.spec ~share:0.1 ~ops:160 ~kill_after:120 "killer" Ycsb.A;
+          ]
+        in
+        let results =
+          Ycsb.run rig ~records:32 ~value_size:32 ~ring_depth:8
+            ~chaos:[ Attacks.neighbor_fiber nb ] specs
+        in
+        List.iter (fun r -> Format.printf "%a@." Ycsb.pp_tenant_result r) results;
+        Printf.printf "byzantine neighbour: %d cycle(s), %d corruption(s) rejected\n"
+          nb.Attacks.nb_cycles nb.Attacks.nb_rejected;
+        Format.printf "@.per-tenant shares, charges and throttling:@.%a"
+          Controller.pp_qos_stats
+          (Controller.qos_stats rig.Rig.ctl);
+        Format.printf
+          "@.ring plane (SQ-full, park/wake and producer park time per shard):@.%a@."
+          Controller.pp_ring_stats
+          (Controller.ring_stats rig.Rig.ctl);
+        (* Reclaim the SIGKILLed tenant before the rig unmounts. *)
+        Sched.delay 2.0e6;
+        let escalated = Controller.watchdog_once rig.Rig.ctl ~timeout_ns:1.0e6 in
+        ignore (Controller.drain_unverified rig.Rig.ctl : int);
+        let gc = Controller.gc_once rig.Rig.ctl in
+        Printf.printf
+          "reclaim: watchdog escalated %d process(es), gc reclaimed %d page(s), ledger %s\n"
+          (List.length escalated) gc.Controller.gc_reclaimed_pages
+          (if gc.Controller.gc_invariant_ok then "balanced" else "IMBALANCED");
+        0)
+    |> ignore;
+    Printf.printf "\nkill exploration: SIGKILLs inside throttled/parked states\n%!";
+    explorer_exit
+      (print_report
+         (Explore.explore_qos ~config:{ Explore.qd_kill_points = kill_points; qd_ops = ops } ()))
   in
   let kill_arg =
     Arg.(
@@ -1061,46 +976,23 @@ let qos_cmd =
   let ops_arg =
     Arg.(value & opt int 10 & info [ "ops" ] ~doc:"Write+share cycles the throttled victim runs")
   in
-  let mutate_arg =
-    Arg.(
-      value & flag
-      & info [ "mutate" ]
-          ~doc:
-            "Disable QoS charging (engine self-test): exit 0 only if the campaign provably \
-             notices that the victim is never throttled")
-  in
   Cmd.v
     (Cmd.info "qos"
        ~doc:
          "Run a multi-tenant byzantine/SIGKILL mix, dump per-tenant QoS charges and throttle \
           counters, then SIGKILL a throttled victim at sampled points and assert reclamation")
-    Term.(const run $ kill_arg $ ops_arg $ mutate_arg)
+    Term.(const run $ kill_arg $ ops_arg)
 
 (* ------------------------------------------------------------------ *)
 (* dircheck: the ordered directory-index plane (DESIGN.md §4.18) *)
 
 let dircheck_cmd =
-  let run kill_points entries mutate =
-    if mutate then begin
-      Printf.printf
-        "skip-index-update mutation armed: dentries keep landing, the B-link tree is never \
-         maintained\n%!";
-      if Explore.dir_index_mutation_caught () then begin
-        Printf.printf
-          "mutation caught: I5 flagged the index/dentry divergence at the sharing point\n";
-        0
-      end
-      else begin
-        Printf.printf "MUTATION NOT CAUGHT: I5 missed an unmaintained directory index\n";
-        1
-      end
-    end
-    else
-      explorer_exit (fun () ->
-          print_report
-            (Explore.explore_dir_index
-               ~config:{ Explore.dx_kill_points = kill_points; dx_entries = entries }
-               ()))
+  let run kill_points entries =
+    explorer_exit
+      (print_report
+         (Explore.explore_dir_index
+            ~config:{ Explore.dx_kill_points = kill_points; dx_entries = entries }
+            ()))
   in
   let kill_arg =
     Arg.(
@@ -1112,20 +1004,60 @@ let dircheck_cmd =
       value & opt int 16
       & info [ "entries" ] ~doc:"Creates the victim attempts (with periodic unlink/rename)")
   in
-  let mutate_arg =
-    Arg.(
-      value & flag
-      & info [ "mutate" ]
-          ~doc:
-            "Silently drop index maintenance in the LibFS (engine self-test): exit 0 only if \
-             verifier invariant I5 provably catches the divergence")
-  in
   Cmd.v
     (Cmd.info "dircheck"
        ~doc:
          "SIGKILL a LibFS inside B-link directory-index updates at sampled points and demand \
           every crash state certifies as consistent or cleanly unindexed")
-    Term.(const run $ kill_arg $ entries_arg $ mutate_arg)
+    Term.(const run $ kill_arg $ entries_arg)
+
+(* ------------------------------------------------------------------ *)
+(* mutate: the seeded-bug matrix — every gate must catch its mutation *)
+
+let mutate_cmd =
+  let module Mutation = Trio_util.Mutation in
+  let module Selftest = Trio_check.Selftest in
+  let run name =
+    let mutations =
+      match name with
+      | None -> Mutation.all
+      | Some n -> (
+        match Mutation.of_name n with
+        | Some m -> [ m ]
+        | None ->
+          Printf.eprintf "unknown mutation %S; known: %s\n" n
+            (String.concat " " (List.map Mutation.name Mutation.all));
+          exit 2)
+    in
+    let caught =
+      List.filter
+        (fun m ->
+          let v = Selftest.gate m in
+          Printf.printf "%-16s %s  %s\n%!" (Mutation.name m)
+            (if v.Selftest.caught then "caught" else "NOT CAUGHT")
+            v.Selftest.detail;
+          v.Selftest.caught)
+        mutations
+    in
+    Printf.printf "%d/%d mutations caught\n" (List.length caught) (List.length mutations);
+    if List.length caught = List.length mutations then 0 else 1
+  in
+  let name_arg =
+    Arg.(
+      value
+      & pos 0 (some string) None
+      & info [] ~docv:"NAME"
+          ~doc:
+            ("Run only this mutation, one of: "
+            ^ String.concat ", " (List.map Mutation.name Mutation.all)
+            ^ " (default: all)"))
+  in
+  Cmd.v
+    (Cmd.info "mutate"
+       ~doc:
+         "Arm each seeded bug in turn and demand that its pinned gate catches it the expected \
+          way; exit 0 only if every one is caught")
+    Term.(const run $ name_arg)
 
 let () =
   let doc = "Trio/ArckFS userspace NVM file system simulator" in
@@ -1147,6 +1079,7 @@ let () =
         trace_cmd;
         qos_cmd;
         dircheck_cmd;
+        mutate_cmd;
       ]
   in
   exit (Cmd.eval' main)

@@ -29,16 +29,6 @@ type t = {
 let header_size = 8
 let entry_header = 10
 
-(* Test-only fault injection: when set, [commit] resets the journal
-   header WITHOUT its persist fence — the commit store is effectively
-   reordered after whatever the LibFS does next, so a crash can revert
-   it and recovery will roll back an already-committed transaction.
-   This is the seeded bug the crash-state exploration engine must catch
-   (see lib/check); it must never be set outside tests. *)
-let crash_test_reorder_commit = ref false
-
-let set_crash_test_reorder_commit b = crash_test_reorder_commit := b
-
 let create ~pmem ~actor ~pages =
   let n = Array.length pages in
   let t = { pmem; actor; pages = Array.copy pages; offsets = Array.make n header_size; counts = Array.make n 0 } in
@@ -85,7 +75,10 @@ let seal t slot =
 let commit t slot =
   let page_addr = t.pages.(slot) * Pmem.page_size in
   Pmem.write_u64 t.pmem ~actor:t.actor ~addr:page_addr 0;
-  if not !crash_test_reorder_commit then Pmem.persist t.pmem ~addr:page_addr ~len:8;
+  (* Mutation [Journal_reorder] drops this fence: the commit store is
+     then reordered after whatever the LibFS does next, so a crash can
+     revert it and recovery rolls back a committed transaction. *)
+  if not (Trio_util.Mutation.on Journal_reorder) then Pmem.persist t.pmem ~addr:page_addr ~len:8;
   t.offsets.(slot) <- header_size;
   t.counts.(slot) <- 0
 

@@ -64,11 +64,6 @@ type dir_state = {
   mutable d_aux_built : bool;
 }
 
-(* Test hook (dircheck --mutate): drop index maintenance on create /
-   unlink / rename so the verifier's I5 check can prove it notices. *)
-let skip_index_updates = ref false
-let set_skip_index_updates v = skip_index_updates := v
-
 type file_state = {
   r_ino : int;
   mutable r_addr : int;
@@ -847,7 +842,8 @@ let dindex_free t pg = Alloc_cache.recycle_page t.cache ~page:pg ~kind:Pmem.Meta
    Failure is never fatal: out of space or damaged, the directory just
    drops to unindexed. *)
 let index_insert t (d : dir_state) name addr =
-  if not !skip_index_updates then
+  (* mutation [Skip_index]: the tree silently stops being maintained *)
+  if not (Trio_util.Mutation.on Skip_index) then
     Sync.Mutex.with_lock d.d_dindex_lock (fun () ->
         match
           Dirindex.insert ~stats:(kstats t) t.pmem ~actor:t.proc ~alloc:(dindex_alloc t)
@@ -867,7 +863,7 @@ let index_insert t (d : dir_state) name addr =
 
 (* Remove (name -> address) after the dentry tombstone is persisted. *)
 let index_delete t (d : dir_state) name addr =
-  if (not !skip_index_updates) && d.d_dindex_root <> 0 then
+  if (not (Trio_util.Mutation.on Skip_index)) && d.d_dindex_root <> 0 then
     Sync.Mutex.with_lock d.d_dindex_lock (fun () ->
         match
           Dirindex.delete t.pmem ~actor:t.proc ~root:d.d_dindex_root

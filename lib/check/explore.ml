@@ -598,19 +598,13 @@ let campaign ?(ops = []) ?vacuous ~counts ~points states =
                         interaction it claims to" key))
   | _ -> r
 
-(* Arm a test-only mutation hook around [f]; it is disarmed even when
-   [f] raises. *)
-let armed set f =
-  set true;
-  Fun.protect ~finally:(fun () -> set false) f
-
 let caught ~expect r =
   match r.failure with Some cx -> cx.cx_kind = expect | None -> false
 
 (* A campaign's self-test: with the [arm] mutation in place the
    campaign must fail, and with exactly the [expect]ed kind. *)
 let self_test ~arm ~expect run =
-  let r = armed arm run in
+  let r = Trio_util.Mutation.armed arm run in
   (r, caught ~expect r)
 
 (* Every path answers Ok or a clean errno — reads, and writes that must
@@ -878,7 +872,7 @@ let explore_proc_death ?(config = default_proc_config) ops =
    commit store persists, the new one after), and recovery from NVM
    alone mounts it on a state that passes a Full verification sweep
    with the page accounting ([snap_pinned] included) balanced.  The
-   torn-commit mutation ({!Controller.set_snap_torn_commit}) must fail
+   torn-commit mutation ({!Trio_util.Mutation.Torn_commit}) must fail
    this with [Root_loss]. *)
 
 type snap_config = { sc_kill_points : int (* kill-injection states sampled per script *) }
@@ -1009,7 +1003,8 @@ let default_dir_config = { dx_kill_points = 18; dx_entries = 16 }
 let dir_capacity = 4
 
 let with_dir_capacity f =
-  armed (fun on -> Dirindex.set_test_capacity (if on then Some dir_capacity else None)) f
+  Dirindex.set_test_capacity (Some dir_capacity);
+  Fun.protect ~finally:(fun () -> Dirindex.set_test_capacity None) f
 
 let dir_victim fs libfs n =
   let payload = String.make 64 'd' in
@@ -1065,7 +1060,7 @@ let dir_index_mutation_caught () =
       if Controller.corruption_events ctl <> [] then
         failwith "dir_index_mutation_caught: honest prefix was flagged";
       (* sabotage: dentries keep landing, the tree stops being maintained *)
-      armed Libfs.set_skip_index_updates (fun () ->
+      Trio_util.Mutation.armed Skip_index (fun () ->
           for i = 6 to 11 do
             ignore (Fs.write_file fs (Printf.sprintf "/m%d" i) "stale" : (unit, _) result)
           done;

@@ -3,24 +3,16 @@
    The incremental verifier serves snapshot bytes for provably-clean
    pages instead of re-reading them, so its *verdicts* must be
    byte-identical to a full I1–I4 walk — only the simulated cost may
-   differ.  This module makes that property executable:
-
-   - [differential]: run the §6.5 attack suite (handcrafted + scripted
-     campaign) and a pinned-seed crash-state exploration twice, once
-     under [Full] and once under [Incremental] verification, and
-     compare every rendered verdict byte for byte.
-
-   - [mutation_self_test]: arm {!Mmu.set_crash_test_drop_writes} —
-     a seeded bug that silently drops pages from the MMU write-set, so
-     the incremental verifier wrongly trusts stale snapshots — and
-     demand that the differential gate *catches* it.  A gate that
-     cannot see a broken dirty-tracker proves nothing.
-
-   Both entry points restore the global verification mode and the
-   mutation flag on every exit path. *)
+   differ.  [differential] makes that property executable: it runs the
+   §6.5 attack suite (handcrafted + scripted campaign) and a
+   pinned-seed crash-state exploration twice, once under [Full] and
+   once under [Incremental] verification, compares every rendered
+   verdict byte for byte, and restores the global verification mode on
+   every exit path.  Its teeth are proven by the [Drop_writes] mutation
+   (see {!Selftest}): a write-set that silently drops pages must make
+   the two modes diverge. *)
 
 module Controller = Trio_core.Controller
-module Mmu = Trio_core.Mmu
 module Attacks = Trio_attacks.Attacks
 module Rng = Trio_util.Rng
 
@@ -100,19 +92,6 @@ let differential ?(seeds = 2) ?(script_seed = 1) ?(script_len = 6) () =
     vd_scenarios = scenario_count full;
     vd_diffs = compare_snapshots ~full ~incremental;
   }
-
-(* Self-test: with the dirty-tracker sabotaged, the incremental run
-   must *diverge* from the full run — otherwise the gate is blind. *)
-let mutation_self_test ?(seeds = 2) ?(script_seed = 1) ?(script_len = 6) () =
-  let full = run_suite ~seeds ~script_seed ~script_len Controller.Full in
-  Mmu.set_crash_test_drop_writes true;
-  let incremental =
-    Fun.protect
-      ~finally:(fun () -> Mmu.set_crash_test_drop_writes false)
-      (fun () -> run_suite ~seeds ~script_seed ~script_len Controller.Incremental)
-  in
-  let diffs = compare_snapshots ~full ~incremental in
-  { vd_scenarios = scenario_count full; vd_diffs = diffs }
 
 let pp_verdict ppf v =
   match v.vd_diffs with

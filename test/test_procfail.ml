@@ -240,9 +240,7 @@ let test_gc_mutation_caught () =
       let ctl = env.Helpers.ctl in
       ignore (Controller.watchdog_once ctl ~timeout_ns);
       ignore (Controller.drain_unverified ctl);
-      Controller.set_crash_test_skip_gc true;
-      let broken = Controller.gc_once ctl in
-      Controller.set_crash_test_skip_gc false;
+      let broken = Trio_util.Mutation.armed Skip_gc (fun () -> Controller.gc_once ctl) in
       Alcotest.(check bool) "leak detected" true (broken.Controller.gc_leaked > 0);
       Alcotest.(check bool) "invariant broken" false broken.Controller.gc_invariant_ok;
       (* and the real GC then cleans it up *)
@@ -433,7 +431,7 @@ let skip_gc_self_test () =
   let ops = Script.generate rng ~len:5 in
   let config = { Explore.default_proc_config with pd_kill_points = 2; pd_hang_points = 0 } in
   let run () = Explore.explore_proc_death ~config ops in
-  (run, Explore.self_test ~arm:Controller.set_crash_test_skip_gc ~expect:Explore.Accounting run)
+  (run, Explore.self_test ~arm:Skip_gc ~expect:Explore.Accounting run)
 
 let test_explore_catches_skip_gc () =
   (* End to end: with the mutation armed the explorer must fail on the

@@ -72,8 +72,7 @@ let test_bucket_bypass_mutation_visible () =
   let q = Ctl_qos.create () in
   Ctl_qos.set_share q ~group:1 ~now:0.0 1.0;
   let b0 = Ctl_qos.balance q ~group:1 ~now:0.0 in
-  Ctl_qos.bypass := true;
-  Fun.protect ~finally:(fun () -> Ctl_qos.bypass := false) @@ fun () ->
+  Trio_util.Mutation.armed Qos_bypass @@ fun () ->
   for _ = 1 to 50 do
     Ctl_qos.charge q ~group:1 ~now:0.0 Ctl_qos.Verify
   done;
@@ -255,7 +254,7 @@ let test_explore_qos () =
    zero — the campaign must notice that its victim never throttles. *)
 let test_explore_qos_catches_bypass_mutation () =
   let r, caught =
-    Explore.self_test ~arm:Controller.set_qos_bypass ~expect:Explore.Vacuous (fun () ->
+    Explore.self_test ~arm:Qos_bypass ~expect:Explore.Vacuous (fun () ->
         Explore.explore_qos ~config:explore_config ())
   in
   if not caught then

@@ -379,7 +379,7 @@ let test_crash_during_commit_random_scripts () =
    the bug class. *)
 let test_torn_commit_caught () =
   let o, caught =
-    Explore.self_test ~arm:Controller.set_snap_torn_commit ~expect:Explore.Root_loss (fun () ->
+    Explore.self_test ~arm:Torn_commit ~expect:Explore.Root_loss (fun () ->
         Explore.explore_snapshot_commit ~config:{ Explore.sc_kill_points = 16 } explore_ops)
   in
   if not caught then

@@ -6,6 +6,7 @@ module Radix = Trio_util.Radix
 module Htbl = Trio_util.Htbl
 module Extent_alloc = Trio_util.Extent_alloc
 module Crc32 = Trio_util.Crc32
+module Mutation = Trio_util.Mutation
 
 (* ------------------------------------------------------------------ *)
 (* Rng *)
@@ -302,6 +303,36 @@ let test_crc32_sub_range () =
   Alcotest.(check int) "sub range" (Crc32.of_string "hello") (Crc32.of_bytes ~pos:2 ~len:5 b)
 
 (* ------------------------------------------------------------------ *)
+(* Mutation *)
+
+let none_on () = List.for_all (fun m -> not (Mutation.on m)) Mutation.all
+
+let test_mutation_armed_disarms () =
+  (* a raise inside the armed run still disarms; only the armed one reads on *)
+  (match
+     Mutation.armed Skip_gc (fun () ->
+         Alcotest.(check (list bool))
+           "only skip-gc on"
+           (List.map (fun m -> m = Mutation.Skip_gc) Mutation.all)
+           (List.map Mutation.on Mutation.all);
+         failwith "boom")
+   with
+  | () -> Alcotest.fail "the armed run did not raise"
+  | exception Failure _ -> ());
+  Alcotest.(check bool) "disarmed after a raise" true (none_on ());
+  (* one mutation at a time: nesting is refused, the outer one survives *)
+  Mutation.armed Torn_commit (fun () ->
+      Alcotest.check_raises "nested armed"
+        (Invalid_argument "Mutation.armed drop-writes: torn-commit is already armed") (fun () ->
+          Mutation.armed Drop_writes ignore);
+      Alcotest.(check bool) "outer still armed" true (Mutation.on Torn_commit));
+  Alcotest.(check bool) "disarmed after return" true (none_on ());
+  List.iter
+    (fun m ->
+      Alcotest.(check bool) (Mutation.name m) true (Mutation.of_name (Mutation.name m) = Some m))
+    Mutation.all
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -355,4 +386,5 @@ let () =
           Alcotest.test_case "detects change" `Quick test_crc32_detects_change;
           Alcotest.test_case "sub range" `Quick test_crc32_sub_range;
         ] );
+      ("mutation", [ Alcotest.test_case "armed disarms" `Quick test_mutation_armed_disarms ]);
     ]
