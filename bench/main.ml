@@ -426,12 +426,21 @@ let fig8 () =
         in
         let a = mk 321 and b = mk 322 in
         let aops = Libfs.ops a and bops = Libfs.ops b in
+        let cstats = Controller.stats rig.Rig.ctl in
+        (* PTE ops and writer handoffs (each queues one verification)
+           of the shared phase, counted once both processes let go *)
+        let pte0 = ref 0 and handoffs0 = ref 0.0 in
+        let start () =
+          pte0 := Trio_core.Mmu.pte_ops rig.Rig.mmu;
+          handoffs0 := Stats.get cstats "verify.queue.enqueued"
+        in
         if creates then begin
           get_ok "mkdir" (aops.Fs.mkdir "/shared_dir" 0o777);
           for i = 0 to 99 do
             ignore (get_ok "pre" (aops.Fs.create (Printf.sprintf "/shared_dir/b%d" i) 0o644))
           done;
           Libfs.unmap_everything a;
+          start ();
           let counters = Array.make 2 0 in
           ignore
             (Runner.run ~sched:rig.Rig.sched ~topo:rig.Rig.topo ~threads:2 ~max_ops:400
@@ -453,23 +462,31 @@ let fig8 () =
           ignore (get_ok "create" (aops.Fs.create "/shared" 0o666));
           get_ok "truncate" (aops.Fs.truncate "/shared" file_size);
           Libfs.unmap_everything a;
+          start ();
           let fda = get_ok "open" (aops.Fs.open_ "/shared" [ Trio_core.Fs_types.O_RDWR ]) in
           let fdb = get_ok "open" (bops.Fs.open_ "/shared" [ Trio_core.Fs_types.O_RDWR ]) in
           ignore
             (write_sharing_body rig ~file_size ~ops_of:(fun tid ->
                  if tid = 0 then (aops, fda) else (bops, fdb)))
         end;
-        let cstats = Controller.stats rig.Rig.ctl in
         let rebuild =
           Stats.get (Libfs.stats_of a) "rebuild" +. Stats.get (Libfs.stats_of b) "rebuild"
         in
-        (Stats.get cstats "map", Stats.get cstats "unmap", Stats.get cstats "verify", rebuild))
+        let times =
+          (Stats.get cstats "map", Stats.get cstats "unmap", Stats.get cstats "verify", rebuild)
+        in
+        Libfs.unmap_everything a;
+        Libfs.unmap_everything b;
+        let handoffs = Stats.get cstats "verify.queue.enqueued" -. !handoffs0 in
+        let pte = float_of_int (Trio_core.Mmu.pte_ops rig.Rig.mmu - !pte0) in
+        (times, if handoffs > 0.0 then pte /. handoffs else 0.0))
   in
-  let breakdown describe (map, unmap, verify, rebuild) =
+  let breakdown describe ((map, unmap, verify, rebuild), pte_per_handoff) =
     let total = map +. unmap +. verify +. rebuild in
     let pct x = if total > 0.0 then 100.0 *. x /. total else 0.0 in
-    Printf.printf "%-22s map %5.1f%%  unmap %5.1f%%  verifier %5.1f%%  aux-state %5.1f%%\n"
-      describe (pct map) (pct unmap) (pct verify) (pct rebuild)
+    Printf.printf "%-22s map %5.1f%%  unmap %5.1f%%  verifier %5.1f%%  aux-state %5.1f%%" describe
+      (pct map) (pct unmap) (pct verify) (pct rebuild);
+    Printf.printf "  PTE ops/handoff %.0f\n" pte_per_handoff
   in
   breakdown "4KB-write 16MB" (instrumented ~creates:false ~file_size:share_file_large);
   breakdown "create-100" (instrumented ~creates:true ~file_size:0)

@@ -80,7 +80,7 @@ type file_state = {
 
 (* A descriptor names the file by inode: after a lease revocation drops
    the cached [file_state], the next operation re-resolves it. *)
-type fd_state = { fd_ino : int; mutable fd_addr : int; fd_flags : open_flag list }
+type fd_state = { fd_ino : int; mutable fd_addr : int; fd_access : access }
 
 type t = {
   ctl : Controller.t;
@@ -553,31 +553,6 @@ let ensure_dir_writable t (d : dir_state) =
       Ok ()
     | Error e -> Error e
 
-let get_file t ~ino ~addr =
-  match Hashtbl.find_opt t.files ino with
-  | Some f -> Ok f
-  | None -> (
-    let map_result =
-      if known_to_kernel t ino then map_ctl t ~ino ~write:false else Ok ()
-    in
-    match map_result with
-    | Error e -> Error e
-    | Ok () -> (
-      match build_file_aux t ~ino ~addr with
-      | Error e -> Error e
-      | Ok f ->
-        if not (known_to_kernel t ino) then f.r_write_mapped <- true;
-        Sync.Mutex.lock t.build_lock;
-        let f =
-          match Hashtbl.find_opt t.files ino with
-          | Some existing -> existing
-          | None ->
-            Hashtbl.replace t.files ino f;
-            f
-        in
-        Sync.Mutex.unlock t.build_lock;
-        Ok f))
-
 let ensure_file_writable t (f : file_state) =
   if f.r_write_mapped then Ok ()
   else if not (known_to_kernel t f.r_ino) then begin
@@ -590,6 +565,36 @@ let ensure_file_writable t (f : file_state) =
       f.r_write_mapped <- true;
       Ok ()
     | Error e -> Error e
+
+(* Map a file once, with the access the caller needs: a write handoff
+   is one grant, not a read grant followed by an upgrade.  Cached state
+   that is only read-mapped is upgraded in place. *)
+let get_file t ~ino ~addr ~write =
+  match Hashtbl.find_opt t.files ino with
+  | Some f ->
+    let* () = if write then ensure_file_writable t f else Ok () in
+    Ok f
+  | None -> (
+    let map_result =
+      if known_to_kernel t ino then map_ctl t ~ino ~write else Ok ()
+    in
+    match map_result with
+    | Error e -> Error e
+    | Ok () -> (
+      match build_file_aux t ~ino ~addr with
+      | Error e -> Error e
+      | Ok f ->
+        Sync.Mutex.lock t.build_lock;
+        let f =
+          match Hashtbl.find_opt t.files ino with
+          | Some existing -> existing
+          | None ->
+            Hashtbl.replace t.files ino f;
+            f
+        in
+        if write || not (known_to_kernel t ino) then f.r_write_mapped <- true;
+        Sync.Mutex.unlock t.build_lock;
+        Ok f))
 
 (* Drop cached state for a file/dir (after a lease revocation fault or an
    explicit unmap). *)
@@ -1267,17 +1272,19 @@ let alloc_fd t =
   t.fd_counters.(cpu) <- n + 1;
   (cpu * (1 lsl 20)) + n + 1
 
-(* Resolve a descriptor to live auxiliary state, surviving aux-state
+(* Resolve a descriptor opened for the access the call needs ([write]:
+   write access, else read) to live auxiliary state, surviving aux-state
    drops after lease revocations (the dentry may also have moved if the
-   file was renamed: ask the kernel for the current address). *)
-let fd_file t fd =
+   file was renamed: ask the kernel for the current address).  [map_write]
+   is the mapping a rebuild asks for; it defaults to [write]. *)
+let fd_file ?map_write t fd ~write =
   match Hashtbl.find_opt t.fds fd with
-  | None -> Error EBADF
-  | Some s ->
+  | Some s when access_allows s.fd_access ~write ->
     (match Controller.dentry_addr_of t.ctl s.fd_ino with
     | Some addr -> s.fd_addr <- addr
     | None -> ());
-    get_file t ~ino:s.fd_ino ~addr:s.fd_addr
+    get_file t ~ino:s.fd_ino ~addr:s.fd_addr ~write:(Option.value map_write ~default:write)
+  | _ -> Error EBADF
 
 (* ------------------------------------------------------------------ *)
 (* Public operations *)
@@ -1317,29 +1324,36 @@ let op_create t path mode =
       in
       Hashtbl.replace t.files r.e_ino f;
       let fd = alloc_fd t in
-      Hashtbl.replace t.fds fd { fd_ino = r.e_ino; fd_addr = r.e_addr; fd_flags = [ O_RDWR ] };
+      Hashtbl.replace t.fds fd { fd_ino = r.e_ino; fd_addr = r.e_addr; fd_access = read_write };
       if t.unmap_after_write then unmap t d.d_ino;
       Ok fd)
+
+(* Open [name] in the resolved parent [d].  The file is mapped once, with
+   write access when the open can write (O_WRONLY, O_RDWR, O_TRUNC), so
+   a write handoff pays one grant; an O_RDONLY open maps read-only and
+   upgrades only if it is later written through another descriptor. *)
+let open_in t d name flags =
+  let access = access_of_flags flags in
+  let write = access.writable || List.mem O_TRUNC flags in
+  let* r, trunc =
+    match lookup t d name with
+    | None when List.mem O_CREAT flags ->
+      let* r = create_entry t d name ~ftype:Reg ~mode:0o644 in
+      Ok (r, false)
+    | None -> Error ENOENT
+    | Some { e_ftype = Dir; _ } -> Error EISDIR
+    | Some r -> Ok (r, List.mem O_TRUNC flags)
+  in
+  let* f = get_file t ~ino:r.e_ino ~addr:r.e_addr ~write in
+  let* () = if trunc then truncate_file t f ~size:0 else Ok () in
+  let fd = alloc_fd t in
+  Hashtbl.replace t.fds fd { fd_ino = r.e_ino; fd_addr = r.e_addr; fd_access = access };
+  Ok fd
 
 let op_open t path flags =
   with_retry t (fun () ->
       let* d, name = resolve_parent t path in
-      match lookup t d name with
-      | None ->
-        if List.mem O_CREAT flags then
-          let* r = create_entry t d name ~ftype:Reg ~mode:0o644 in
-          let* _f = get_file t ~ino:r.e_ino ~addr:r.e_addr in
-          let fd = alloc_fd t in
-          Hashtbl.replace t.fds fd { fd_ino = r.e_ino; fd_addr = r.e_addr; fd_flags = flags };
-          Ok fd
-        else Error ENOENT
-      | Some { e_ftype = Dir; _ } -> Error EISDIR
-      | Some r ->
-        let* f = get_file t ~ino:r.e_ino ~addr:r.e_addr in
-        let* () = if List.mem O_TRUNC flags then truncate_file t f ~size:0 else Ok () in
-        let fd = alloc_fd t in
-        Hashtbl.replace t.fds fd { fd_ino = r.e_ino; fd_addr = r.e_addr; fd_flags = flags };
-        Ok fd)
+      open_in t d name flags)
 
 let op_close t fd =
   match Hashtbl.find_opt t.fds fd with
@@ -1353,19 +1367,19 @@ let op_close t fd =
 
 let op_pread t fd buf off =
   with_retry t (fun () ->
-      let* f = fd_file t fd in
+      let* f = fd_file t fd ~write:false in
       read_at t f ~buf ~off)
 
 let op_pwrite t fd buf off =
   with_retry t (fun () ->
-      let* f = fd_file t fd in
+      let* f = fd_file t fd ~write:true ~map_write:(Bytes.length buf > 0) in
       let* n = write_at t f ~buf ~off in
       if t.unmap_after_write then unmap t f.r_ino;
       Ok n)
 
 let op_append t fd buf =
   with_retry t (fun () ->
-      let* f = fd_file t fd in
+      let* f = fd_file t fd ~write:true ~map_write:(Bytes.length buf > 0) in
       (* serialize appends through the inode write lock via write_at's
          extending path, using the current size as offset *)
       let* n = write_at t f ~buf ~off:f.r_size in
@@ -1379,9 +1393,8 @@ let op_truncate t path size =
       | None -> Error ENOENT
       | Some { e_ftype = Dir; _ } -> Error EISDIR
       | Some r ->
-        let* f = get_file t ~ino:r.e_ino ~addr:r.e_addr in
-        let* () = truncate_file t f ~size in
-        Ok ())
+        let* f = get_file t ~ino:r.e_ino ~addr:r.e_addr ~write:true in
+        truncate_file t f ~size)
 
 let op_unlink t path =
   with_retry t (fun () ->
@@ -1728,7 +1741,7 @@ let commit_file t path =
 (* Accessors for customized LibFSes (KVFS, FPFS) built on these
    internals. *)
 let register_fd t fd (f : file_state) =
-  Hashtbl.replace t.fds fd { fd_ino = f.r_ino; fd_addr = f.r_addr; fd_flags = [ O_RDWR ] }
+  Hashtbl.replace t.fds fd { fd_ino = f.r_ino; fd_addr = f.r_addr; fd_access = read_write }
 
 let stat_dentry t (r : dentry_ref) =
   match Layout.read_dentry t.pmem ~actor:t.proc ~addr:r.e_addr with

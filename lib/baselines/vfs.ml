@@ -83,7 +83,7 @@ type vnode = {
   mutable v_ctime : float;
 }
 
-type fd_state = { fd_node : vnode }
+type fd_state = { fd_node : vnode; fd_access : access }
 
 type t = {
   sched : Sched.t;
@@ -287,6 +287,12 @@ let alloc_fd t =
 
 let fd_lookup t fd = match Hashtbl.find_opt t.fds fd with Some s -> Ok s | None -> Error EBADF
 
+(* A descriptor used for an access its open did not ask for is EBADF. *)
+let fd_node t fd ~write =
+  match fd_lookup t fd with
+  | Ok { fd_node; fd_access } when access_allows fd_access ~write -> Ok fd_node
+  | _ -> Error EBADF
+
 (* ------------------------------------------------------------------ *)
 (* Data plumbing (semantic content, stored when [store_data]) *)
 
@@ -317,7 +323,7 @@ let vnode_read t v ~buf ~off =
 (* ------------------------------------------------------------------ *)
 (* Operations *)
 
-let op_create t path mode =
+let op_create ?(access = read_write) t path mode =
   trap t ~data:false;
   let* parent, name = walk_parent t path in
   Sync.Rwlock.write_lock parent.v_rwlock;
@@ -340,7 +346,7 @@ let op_create t path mode =
   | Error e -> Error e
   | Ok v ->
     let fd = alloc_fd t in
-    Hashtbl.replace t.fds fd { fd_node = v };
+    Hashtbl.replace t.fds fd { fd_node = v; fd_access = access };
     Ok fd
 
 let op_open t path flags =
@@ -355,10 +361,11 @@ let op_open t path flags =
         v.v_size <- 0
       end;
       let fd = alloc_fd t in
-      Hashtbl.replace t.fds fd { fd_node = v };
+      Hashtbl.replace t.fds fd { fd_node = v; fd_access = access_of_flags flags };
       Ok fd
     end
-  | Error ENOENT when List.mem O_CREAT flags -> op_create t path 0o644
+  | Error ENOENT when List.mem O_CREAT flags ->
+    op_create ~access:(access_of_flags flags) t path 0o644
   | Error e -> Error e
 
 let op_close t fd =
@@ -370,7 +377,7 @@ let op_close t fd =
 
 let op_pwrite t fd buf off =
   trap t ~data:true;
-  let* { fd_node = v } = fd_lookup t fd in
+  let* v = fd_node t fd ~write:true in
   let len = Bytes.length buf in
   Sched.cpu_work t.model.m_write_cpu;
   let pages = (len + 4095) / 4096 in
@@ -386,12 +393,12 @@ let op_pwrite t fd buf off =
   Ok len
 
 let op_append t fd buf =
-  let* { fd_node = v } = fd_lookup t fd in
+  let* v = fd_node t fd ~write:true in
   op_pwrite t fd buf v.v_size
 
 let op_pread t fd buf off =
   trap t ~data:true;
-  let* { fd_node = v } = fd_lookup t fd in
+  let* v = fd_node t fd ~write:false in
   Sched.cpu_work t.model.m_read_cpu;
   Sync.Rwlock.read_lock v.v_rwlock;
   let len = max 0 (min (Bytes.length buf) (v.v_size - off)) in

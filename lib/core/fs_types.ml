@@ -66,6 +66,18 @@ let errno_count = List.length all_errnos
 
 type open_flag = O_RDONLY | O_WRONLY | O_RDWR | O_CREAT | O_TRUNC | O_APPEND
 
+(* The access mode a descriptor carries (POSIX): an open without
+   O_WRONLY or O_RDWR is read-only.  A read through a write-only
+   descriptor, or a write through a read-only one, fails with EBADF. *)
+type access = { readable : bool; writable : bool }
+
+let access_of_flags flags =
+  let writable = List.mem O_WRONLY flags || List.mem O_RDWR flags in
+  { readable = not (List.mem O_WRONLY flags); writable }
+
+let read_write = { readable = true; writable = true }
+let access_allows a ~write = if write then a.writable else a.readable
+
 type stat = {
   st_ino : int;
   st_ftype : ftype;

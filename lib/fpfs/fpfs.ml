@@ -94,7 +94,7 @@ let ops t =
         Libfs.with_retry t.fs (fun () ->
             let* d, name = resolve_parent t path in
             let* r = Libfs.create_entry t.fs d name ~ftype:Reg ~mode in
-            let* f = Libfs.get_file t.fs ~ino:r.Libfs.e_ino ~addr:r.Libfs.e_addr in
+            let* f = Libfs.get_file t.fs ~ino:r.Libfs.e_ino ~addr:r.Libfs.e_addr ~write:true in
             let fd = Libfs.alloc_fd t.fs in
             Libfs.register_fd t.fs fd f;
             Ok fd));
@@ -102,24 +102,7 @@ let ops t =
       (fun path flags ->
         Libfs.with_retry t.fs (fun () ->
             let* d, name = resolve_parent t path in
-            match Libfs.lookup t.fs d name with
-            | None ->
-              if List.mem O_CREAT flags then
-                let* r = Libfs.create_entry t.fs d name ~ftype:Reg ~mode:0o644 in
-                let* f = Libfs.get_file t.fs ~ino:r.Libfs.e_ino ~addr:r.Libfs.e_addr in
-                let fd = Libfs.alloc_fd t.fs in
-                Libfs.register_fd t.fs fd f;
-                Ok fd
-              else Error ENOENT
-            | Some { Libfs.e_ftype = Dir; _ } -> Error EISDIR
-            | Some r ->
-              let* f = Libfs.get_file t.fs ~ino:r.Libfs.e_ino ~addr:r.Libfs.e_addr in
-              let* () =
-                if List.mem O_TRUNC flags then Libfs.truncate_file t.fs f ~size:0 else Ok ()
-              in
-              let fd = Libfs.alloc_fd t.fs in
-              Libfs.register_fd t.fs fd f;
-              Ok fd));
+            Libfs.open_in t.fs d name flags));
     stat =
       (fun path ->
         Libfs.with_retry t.fs (fun () ->

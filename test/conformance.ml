@@ -271,12 +271,30 @@ let counters_check vfs =
     Vfs.all_ops;
   Alcotest.(check int) "total ops" (List.length labels) (Vfs.total_ops vfs)
 
+(* POSIX: a descriptor carries its open's access mode.  Writing
+   through an O_RDONLY descriptor or reading through an O_WRONLY one is
+   EBADF, even when the caller could open the file either way. *)
+let access_mode_check fs =
+  ok "write" (Fs.write_file fs "/am" "mode");
+  let ro = ok "open ro" (fs.Fs.open_ "/am" [ O_RDONLY ]) in
+  expect_err "pwrite ro" EBADF (fs.Fs.pwrite ro (Bytes.of_string "x") 0);
+  expect_err "append ro" EBADF (fs.Fs.append ro (Bytes.of_string "x"));
+  let wo = ok "open wo" (fs.Fs.open_ "/am" [ O_WRONLY ]) in
+  expect_err "pread wo" EBADF (fs.Fs.pread wo (Bytes.create 4) 0);
+  ignore (ok "pwrite wo" (fs.Fs.pwrite wo (Bytes.of_string "M") 0));
+  let buf = Bytes.create 4 in
+  ignore (ok "pread ro" (fs.Fs.pread ro buf 0));
+  Alcotest.(check string) "written through wo, read through ro" "Mode" (Bytes.to_string buf);
+  ok "close ro" (fs.Fs.close ro);
+  ok "close wo" (fs.Fs.close wo)
+
 (* Every check now receives the instrumented VFS handle. *)
 let vfs_checks : (string * (Vfs.t -> unit)) list =
   List.map (fun (name, c) -> (name, fun vfs -> c (Vfs.ops vfs))) checks
   @ [
       ("errno parity across all ops", parity_check);
       ("vfs counters track dispatched ops", counters_check);
+      ("descriptor access mode is enforced", fun vfs -> access_mode_check (Vfs.ops vfs));
     ]
 
 (* Page-accounting invariant after a scenario: with every LibFS cleanly

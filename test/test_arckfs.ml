@@ -382,6 +382,95 @@ let test_crash_size_field_repaired () =
       Alcotest.(check int) "size matches entries" (List.length entries) st2.st_size)
 
 (* ------------------------------------------------------------------ *)
+(* Sharing cost: a handoff maps each inode once, with the access the
+   call needs, so it costs one grant plus one revoke of its pages. *)
+
+module Controller = Trio_core.Controller
+module Mmu = Trio_core.Mmu
+
+let share_pages = 16
+
+(* Proc 1 (uid 1000) writes a [share_pages]-page file "/s" in the root,
+   sets its mode and releases it; [f] gets the env and its inode. *)
+let with_shared_file ?(mode = 0o666) f =
+  Helpers.run_sim (fun env ->
+      let owner = Helpers.mount ~proc:1 env in
+      let ops = Libfs.ops owner in
+      ok "write" (Fs.write_file ops "/s" (String.make (share_pages * Pmem.page_size) 's'));
+      ok "chmod" (ops.Fs.chmod "/s" mode);
+      let ino = (ok "stat" (ops.Fs.stat "/s")).st_ino in
+      Libfs.unmap_everything owner;
+      f env ino)
+
+(* The pages a mapping of [ino] covers, as the controller last walked it. *)
+let mapped_pages env ino =
+  List.length (Controller.file_pages (Option.get (Controller.file_info env.Helpers.ctl ino)))
+
+let pte_ops_of env body =
+  let before = Mmu.pte_ops env.Helpers.mmu in
+  body ();
+  Mmu.pte_ops env.Helpers.mmu - before
+
+let test_handoff_pte_ops () =
+  with_shared_file (fun env ino ->
+      (* a fresh process opens "/s", does one I/O and releases everything:
+         the root is read-mapped and revoked, and so is the file *)
+      let handoff ~proc flags io =
+        let fs = Helpers.mount ~proc env in
+        let ops = Libfs.ops fs in
+        pte_ops_of env (fun () ->
+            let fd = ok "open" (ops.Fs.open_ "/s" flags) in
+            ignore (ok "io" (io ops fd));
+            ok "close" (ops.Fs.close fd);
+            Libfs.unmap_everything fs)
+      in
+      let write =
+        handoff ~proc:2 [ O_RDWR ] (fun ops fd -> ops.Fs.pwrite fd (Bytes.of_string "w") 0)
+      in
+      let read = handoff ~proc:3 [ O_RDONLY ] (fun ops fd -> ops.Fs.pread fd (Bytes.create 8) 0) in
+      let file = mapped_pages env ino and root = mapped_pages env Controller.root_ino in
+      Alcotest.(check bool) "file pages walked" true (file > share_pages);
+      Alcotest.(check int) "O_RDWR + pwrite: one grant + one revoke" (2 * (file + root)) write;
+      Alcotest.(check int) "O_RDONLY + pread: one grant + one revoke" (2 * (file + root)) read)
+
+let test_remapping_write_one_grant () =
+  with_shared_file (fun env ino ->
+      let a = Helpers.mount ~proc:2 env and b = Helpers.mount ~proc:3 env in
+      let aops = Libfs.ops a and bops = Libfs.ops b in
+      let fda = ok "a open" (aops.Fs.open_ "/s" [ O_RDWR ]) in
+      ignore (ok "a first pwrite" (aops.Fs.pwrite fda (Bytes.of_string "x") 0));
+      (* b's write waits out a's lease and force-revokes a's mapping *)
+      let fdb = ok "b open" (bops.Fs.open_ "/s" [ O_RDWR ]) in
+      ignore (ok "b pwrite" (bops.Fs.pwrite fdb (Bytes.of_string "b") 1));
+      ok "b close" (bops.Fs.close fdb);
+      Libfs.unmap_everything b;
+      (* a's next write faults, rebuilds and re-maps with write access *)
+      let cost =
+        pte_ops_of env (fun () ->
+            ignore (ok "a pwrite" (aops.Fs.pwrite fda (Bytes.of_string "a") 0)))
+      in
+      Alcotest.(check int) "one grant, no read grant + upgrade" (mapped_pages env ino) cost;
+      Libfs.unmap_everything a;
+      let fs = Helpers.mount ~proc:4 env in
+      Alcotest.(check string) "both writes landed" "ab"
+        (String.sub (ok "read" (Fs.read_file (Libfs.ops fs) "/s")) 0 2))
+
+let test_write_open_checked_at_open () =
+  with_shared_file ~mode:0o444 (fun env ino ->
+      let stranger = Libfs.ops (Helpers.mount ~proc:2 ~uid:2222 env) in
+      err "O_RDWR on 0o444 of another uid" EACCES (stranger.Fs.open_ "/s" [ O_RDWR ]);
+      ignore (ok "O_RDONLY still allowed" (stranger.Fs.open_ "/s" [ O_RDONLY ]));
+      Controller.degrade_file env.Helpers.ctl ~ino Controller.Degraded_ro ~detail:"test";
+      (* the owner may write the file, so only the degradation refuses *)
+      let owner = Libfs.ops (Helpers.mount ~proc:3 env) in
+      ok "chmod" (owner.Fs.chmod "/s" 0o644);
+      err "O_RDWR on degraded file" EROFS (owner.Fs.open_ "/s" [ O_RDWR ]);
+      let fd = ok "O_RDONLY on degraded file" (owner.Fs.open_ "/s" [ O_RDONLY ]) in
+      let buf = Bytes.create 4 in
+      ignore (ok "pread" (owner.Fs.pread fd buf 0));
+      Alcotest.(check string) "readable" "ssss" (Bytes.to_string buf))
+
+(* ------------------------------------------------------------------ *)
 
 (* The shared conformance suite (including errno parity and VFS counter
    checks) over a fresh ArckFS per check. *)
@@ -438,6 +527,12 @@ let () =
         ] );
       ( "delegation",
         [ Alcotest.test_case "results equivalent" `Quick test_delegation_equivalent_results ] );
+      ( "sharing cost",
+        [
+          Alcotest.test_case "handoff PTE ops" `Quick test_handoff_pte_ops;
+          Alcotest.test_case "re-mapping write grants once" `Quick test_remapping_write_one_grant;
+          Alcotest.test_case "write open checked at open" `Quick test_write_open_checked_at_open;
+        ] );
       ( "crash",
         [
           Alcotest.test_case "create durable" `Quick test_crash_after_create_consistent;

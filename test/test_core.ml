@@ -324,8 +324,11 @@ let test_map_denied_without_permission () =
       let buf = Bytes.create 6 in
       ignore (Helpers.check_ok "read" (ops.Trio_core.Fs_intf.pread fd buf 0));
       Alcotest.(check string) "content" "secret" (Bytes.to_string buf);
-      (* a write attempt needs a write mapping, which is denied *)
+      (* an open for writing needs a write mapping, which is denied *)
       Helpers.check_err "write denied" EACCES
+        (ops.Trio_core.Fs_intf.open_ "/private" [ O_RDWR ]);
+      (* and the read-only descriptor cannot be written through *)
+      Helpers.check_err "write on read-only fd" EBADF
         (ops.Trio_core.Fs_intf.pwrite fd (Bytes.of_string "x") 0))
 
 let test_chown_requires_root () =
@@ -424,10 +427,10 @@ let test_scrub_quarantines_data_page_and_degrades () =
       Alcotest.(check int) "size preserved" 80 (String.length content);
       Alcotest.(check string) "tail survives" (String.make 16 'p') (String.sub content 64 16);
       Alcotest.(check string) "damaged line zeroed" (String.make 64 '\000') (String.sub content 0 64);
-      (* writes are refused at the mapping boundary *)
-      let fd = Helpers.check_ok "open" (ops2.Trio_core.Fs_intf.open_ "/big" [ O_RDWR ]) in
+      (* writes are refused at the mapping boundary: an open for
+         writing asks for the write mapping *)
       Helpers.check_err "write on degraded file" EROFS
-        (ops2.Trio_core.Fs_intf.pwrite fd (Bytes.of_string "x") 0))
+        (ops2.Trio_core.Fs_intf.open_ "/big" [ O_RDWR ]))
 
 (* Pinned seed: the whole fault → scrub → degrade pipeline is replayable.
    Two identical runs must agree on every counter and every outcome. *)
