@@ -1247,6 +1247,17 @@ let qos () =
 (* ------------------------------------------------------------------ *)
 (* Directory scaling: B-link index vs linear dentry-page scan *)
 
+type dir_point = {
+  create_ns : float;
+  create_wr : float; (* NVM bytes written per create *)
+  lookup_ns : float;
+  lookup_rd : float; (* NVM bytes read per lookup *)
+  readdir_ns : float;
+  range_scan : bool;
+  delete_ns : float;
+  delete_wr : float; (* NVM bytes written per delete *)
+}
+
 (* Two sweeps.  (1) End-to-end: one directory grown to 10^3..10^5
    entries; create/lookup/readdir/delete are timed in virtual ns from a
    second, cold-cache process after the sharing point.  The lookup
@@ -1269,18 +1280,19 @@ let dirscale () =
   let run_point ~indexed n =
     let ppn = 1 lsl 14 in
     Rig.run ~nodes:2 ~cpus_per_node:4 ~pages_per_node:ppn ~store_data:false (fun rig ->
-        let sched = rig.Rig.sched in
+        let sched = rig.Rig.sched and pmem = rig.Rig.pmem in
         (if indexed then fun f -> f () else Trio_util.Mutation.armed Skip_index) @@ fun () ->
         let writer = Rig.mount_arckfs ~delegated:false rig in
         let fs = Libfs.ops writer in
         ignore (get_ok "mkdir" (fs.Fs.mkdir "/big" 0o755));
-        let t0 = Sched.now sched in
+        let t0 = Sched.now sched and _, w0 = Pmem.bytes_moved pmem in
         for i = 0 to n - 1 do
           match fs.Fs.create (name_of i) 0o644 with
           | Ok fd -> ignore (fs.Fs.close fd)
           | Error e -> failwith ("create: " ^ Trio_core.Fs_types.errno_to_string e)
         done;
         let create_ns = (Sched.now sched -. t0) /. float_of_int n in
+        let create_wr = (snd (Pmem.bytes_moved pmem) -. w0) /. float_of_int n in
         (* the sharing point: hand the directory to the kernel, then
            measure from a second process whose caches start cold *)
         Libfs.unmap_everything writer;
@@ -1294,14 +1306,27 @@ let dirscale () =
            skeleton), which is the same for both configurations and not
            what this experiment measures *)
         ignore (get_ok "warmup" (fs2.Fs.stat (name_of (n - 1))));
-        let i = ref 0 in
+        let i = ref 0 and r0, _ = Pmem.bytes_moved pmem in
         let lookup_ns =
           Runner.time_op ~sched ~iters:probes (fun () ->
               let name = name_of (!i * step) in
               incr i;
               ignore (get_ok "stat" (fs2.Fs.stat name)))
         in
-        if not indexed then (create_ns, lookup_ns, 0.0, false, 0.0)
+        let lookup_rd = (fst (Pmem.bytes_moved pmem) -. r0) /. float_of_int probes in
+        let point =
+          {
+            create_ns;
+            create_wr;
+            lookup_ns;
+            lookup_rd;
+            readdir_ns = 0.0;
+            range_scan = false;
+            delete_ns = 0.0;
+            delete_wr = 0.0;
+          }
+        in
+        if not indexed then point
         else begin
           let cstats = Controller.stats rig.Rig.ctl in
           let scans0 = Stats.get cstats "verify.dindex.range_scans" in
@@ -1311,7 +1336,7 @@ let dirscale () =
           if listed <> n then failwith (Printf.sprintf "readdir returned %d of %d" listed n);
           let range_scan = Stats.get cstats "verify.dindex.range_scans" > scans0 in
           let dels = min (n / 2) 512 in
-          let i = ref 0 in
+          let i = ref 0 and _, w0 = Pmem.bytes_moved pmem in
           let delete_ns =
             Runner.time_op ~sched ~iters:dels (fun () ->
                 (* odd offsets: never a name the probe loop cached *)
@@ -1319,43 +1344,38 @@ let dirscale () =
                 incr i;
                 ignore (get_ok "unlink" (fs2.Fs.unlink name)))
           in
-          (create_ns, lookup_ns, readdir_ns, range_scan, delete_ns)
+          let delete_wr = (snd (Pmem.bytes_moved pmem) -. w0) /. float_of_int dels in
+          { point with readdir_ns; range_scan; delete_ns; delete_wr }
         end)
   in
   let points =
     List.map
       (fun n ->
-        let create_ns, lookup_ns, readdir_ns, range_scan, delete_ns =
-          run_point ~indexed:true n
-        in
+        let p = run_point ~indexed:true n in
         let baseline_ns =
-          if n <= baseline_max then
-            let _, b, _, _, _ = run_point ~indexed:false n in
-            Some b
-          else None
+          if n <= baseline_max then Some (run_point ~indexed:false n).lookup_ns else None
         in
-        let speedup = Option.map (fun b -> b /. lookup_ns) baseline_ns in
+        let speedup = Option.map (fun b -> b /. p.lookup_ns) baseline_ns in
         Printf.printf
-          "  [%7d entries] create %.0fns  lookup %.0fns  scan %s  readdir %.0fus (range scan \
-           %b)  delete %.0fns\n%!"
-          n create_ns lookup_ns
+          "  [%7d entries] create %.0fns (%.0fB written)  lookup %.0fns (%.0fB read)  scan %s  \
+           readdir %.0fus (range scan %b)  delete %.0fns (%.0fB written)\n%!"
+          n p.create_ns p.create_wr p.lookup_ns p.lookup_rd
           (match baseline_ns with Some b -> Printf.sprintf "%.0fns" b | None -> "-")
-          (readdir_ns /. 1e3) range_scan delete_ns;
-        (n, create_ns, lookup_ns, baseline_ns, speedup, readdir_ns, range_scan, delete_ns))
+          (p.readdir_ns /. 1e3) p.range_scan p.delete_ns p.delete_wr;
+        (n, p, baseline_ns, speedup))
       sizes
   in
   print_header "entries" [ "create"; "lookup"; "scan"; "speedup" ];
   List.iter
-    (fun (n, c, l, b, sp, _, _, _) ->
+    (fun (n, p, b, sp) ->
       print_row (string_of_int n)
-        [ c; l; Option.value ~default:0.0 b; Option.value ~default:0.0 sp ])
+        [ p.create_ns; p.lookup_ns; Option.value ~default:0.0 b; Option.value ~default:0.0 sp ])
     points;
   let required = 10.0 in
   (* gate 1: at the largest baselined size, descent beats the scan 10x *)
   let gate_speedup =
     match
-      List.filter_map (fun (n, _, _, _, sp, _, _, _) -> Option.map (fun s -> (n, s)) sp) points
-      |> List.rev
+      List.filter_map (fun (n, _, _, sp) -> Option.map (fun s -> (n, s)) sp) points |> List.rev
     with
     | (_, s) :: _ -> s >= required
     | [] -> false
@@ -1363,13 +1383,13 @@ let dirscale () =
   (* gate 2: indexed lookup grows sub-linearly — each 10x in entries
      costs well under 10x in latency *)
   let rec sublinear = function
-    | (_, _, a, _, _, _, _, _) :: ((_, _, b, _, _, _, _, _) :: _ as rest) ->
-      b < a *. 5.0 && sublinear rest
+    | (_, a, _, _) :: ((_, b, _, _) :: _ as rest) ->
+      b.lookup_ns < a.lookup_ns *. 5.0 && sublinear rest
     | _ -> true
   in
   let gate_sublinear = sublinear points in
   (* gate 3: every readdir was served by an index range scan *)
-  let gate_range = List.for_all (fun (_, _, _, _, _, _, rs, _) -> rs) points in
+  let gate_range = List.for_all (fun (_, p, _, _) -> p.range_scan) points in
   (* raw-tree sweep: insert/lookup latency on the bare B-link structure
      up to 10^6 keys, pool carved from the top half of the device (the
      controller's extent allocators never reach up there) *)
@@ -1451,17 +1471,20 @@ let dirscale () =
       ( "points",
         List
           (List.map
-             (fun (n, c, l, b, sp, rd, rs, d) ->
+             (fun (n, p, b, sp) ->
                Obj
                  [
                    ("entries", Int n);
-                   ("create_ns", Fixed (1, c));
-                   ("lookup_ns", Fixed (1, l));
+                   ("create_ns", Fixed (1, p.create_ns));
+                   ("create_bytes_written", Fixed (1, p.create_wr));
+                   ("lookup_ns", Fixed (1, p.lookup_ns));
+                   ("lookup_bytes_read", Fixed (1, p.lookup_rd));
                    ("linear_scan_ns", fixed 1 b);
                    ("speedup", fixed 2 sp);
-                   ("readdir_ns", Fixed (1, rd));
-                   ("readdir_range_scan", Bool rs);
-                   ("delete_ns", Fixed (1, d));
+                   ("readdir_ns", Fixed (1, p.readdir_ns));
+                   ("readdir_range_scan", Bool p.range_scan);
+                   ("delete_ns", Fixed (1, p.delete_ns));
+                   ("delete_bytes_written", Fixed (1, p.delete_wr));
                  ])
              points) );
       ( "tree_points",

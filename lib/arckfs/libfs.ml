@@ -44,6 +44,8 @@ type dir_state = {
   (* slot management: pages with free dentry slots + the index tail *)
   mutable d_free_slots : (int * int) list; (* (page, slot) *)
   mutable d_data_pages : int list; (* in index order *)
+  mutable d_unscanned : int; (* leading [d_data_pages] whose free slots are not in the list *)
+  mutable d_releasing : int list; (* cleared dentry addresses not yet back in the list *)
   mutable d_index_pages : int list;
   mutable d_index_tail : int; (* 0 = directory has no index page yet *)
   mutable d_index_used : int; (* used entries in the tail index page *)
@@ -344,6 +346,8 @@ let new_dir_state ~ino ~addr =
     d_stripes = Array.init Htbl.stripes (fun _ -> Sync.Rwlock.create ());
     d_free_slots = [];
     d_data_pages = [];
+    d_unscanned = 0;
+    d_releasing = [];
     d_index_pages = [];
     d_index_tail = 0;
     d_index_used = 0;
@@ -361,7 +365,8 @@ let new_dir_state ~ino ~addr =
    count and the B-link root.  Cost is one dentry read plus one read
    per chain page — independent of the entry count.  The per-slot scan
    that fills [d_names]/[d_free_slots] is deferred to [materialize]
-   and never runs on the lookup path of an indexed directory. *)
+   and never runs on the lookup path of an indexed directory; a create
+   finds free slots page by page instead ([find_free_slots]). *)
 let build_dir_aux t ~ino ~addr =
   Stats.timed t.stats t.sched "rebuild" (fun () ->
       let d = new_dir_state ~ino ~addr in
@@ -381,9 +386,23 @@ let build_dir_aux t ~ino ~addr =
                  (fun pg -> if pg <> 0 then d.d_data_pages <- d.d_data_pages @ [ pg ])
                  entries))
       | _ -> ());
-      (* An empty directory's aux is trivially complete. *)
+      (* An empty directory's aux is trivially complete; otherwise no
+         page's free slots are known yet ([find_free_slots]). *)
+      d.d_unscanned <- List.length d.d_data_pages;
       if d.d_data_pages = [] then d.d_aux_built <- true;
       d)
+
+(* A dentry page as the slot scans see it: [None] when poisoned — its
+   slots are unreadable and must not be reused before the scrubber
+   restores the page from the controller checkpoint. *)
+let read_dentry_page t pg =
+  match Pmem.read_ecc t.pmem ~actor:t.proc ~addr:(pg * page_size) ~len:page_size with
+  | Pmem.Ecc.Ok b -> Some b
+  | Pmem.Ecc.Poisoned _ -> None
+
+(* A slot that is free on media but still being released by an unlink
+   or rename (its index entry may be live): no scan may hand it out. *)
+let releasing (d : dir_state) pg slot = List.mem (Layout.dentry_slot_addr pg slot) d.d_releasing
 
 (* The deferred full scan: fill [d_names] and [d_free_slots] from the
    dentry pages.  Takes every stripe write lock (racing name ops would
@@ -395,36 +414,37 @@ let materialize t (d : dir_state) =
       if not d.d_aux_built then
       Stats.timed t.stats t.sched "rebuild" (fun () ->
           let size = ref 0 in
-          List.iter
-            (fun pg ->
-              (* a poisoned page contributes neither names nor free
-                 slots: its dentries are unreadable but must not be
-                 reused before the scrubber restores the page from the
-                 controller checkpoint *)
-              match
-                Pmem.read_ecc t.pmem ~actor:t.proc ~addr:(pg * page_size) ~len:page_size
-              with
-              | Pmem.Ecc.Poisoned _ -> ()
-              | Pmem.Ecc.Ok b ->
-                for slot = 0 to Layout.dentries_per_page - 1 do
-                  Sched.cpu_work Perf.Cpu.hash_lookup;
-                  let block = Bytes.sub b (slot * Layout.dentry_size) Layout.dentry_size in
-                  match Layout.decode_dentry block with
-                  | None | Some (Error _) ->
-                    Sync.Mutex.lock d.d_tail_lock;
-                    d.d_free_slots <- (pg, slot) :: d.d_free_slots;
-                    Sync.Mutex.unlock d.d_tail_lock
-                  | Some (Ok (child, name)) ->
-                    incr size;
-                    if Htbl.find d.d_names name = None then
-                      Htbl.replace d.d_names name
-                        {
-                          e_ino = child.Layout.ino;
-                          e_addr = Layout.dentry_slot_addr pg slot;
-                          e_ftype = child.Layout.ftype;
-                        }
-                done)
-            d.d_data_pages;
+          let free = ref [] in
+          (* the tail lock holds off [release_slot] until the list is
+             replaced: a slot still releasing when the scan passes it is
+             pushed afterwards, onto a directory with no unscanned page *)
+          Sync.Mutex.with_lock d.d_tail_lock (fun () ->
+            List.iter
+              (fun pg ->
+                (* a poisoned page contributes neither names nor free slots *)
+                match read_dentry_page t pg with
+                | None -> ()
+                | Some b ->
+                  for slot = 0 to Layout.dentries_per_page - 1 do
+                    Sched.cpu_work Perf.Cpu.hash_lookup;
+                    let block = Bytes.sub b (slot * Layout.dentry_size) Layout.dentry_size in
+                    match Layout.decode_dentry block with
+                    | None | Some (Error _) ->
+                      if not (releasing d pg slot) then free := (pg, slot) :: !free
+                    | Some (Ok (child, name)) ->
+                      incr size;
+                      if Htbl.find d.d_names name = None then
+                        Htbl.replace d.d_names name
+                          {
+                            e_ino = child.Layout.ino;
+                            e_addr = Layout.dentry_slot_addr pg slot;
+                            e_ftype = child.Layout.ftype;
+                          }
+                  done)
+              d.d_data_pages;
+            (* the scan saw every page: its free set replaces the list *)
+            d.d_free_slots <- !free;
+            d.d_unscanned <- 0);
           Sync.Mutex.lock d.d_size_lock;
           d.d_size <- !size;
           Sync.Mutex.unlock d.d_size_lock;
@@ -738,9 +758,9 @@ let index_find t (d : dir_state) name =
 let scan_find t (d : dir_state) name =
   List.find_map
     (fun pg ->
-      match Pmem.read_ecc t.pmem ~actor:t.proc ~addr:(pg * page_size) ~len:page_size with
-      | Pmem.Ecc.Poisoned _ -> None
-      | Pmem.Ecc.Ok b ->
+      match read_dentry_page t pg with
+      | None -> None
+      | Some b ->
         let rec go slot =
           if slot >= Layout.dentries_per_page then None
           else begin
@@ -908,58 +928,101 @@ let ensure_resolvable t (d : dir_state) =
 (* ------------------------------------------------------------------ *)
 (* Directory slot management *)
 
-(* Claim a free dentry slot, possibly growing the directory by one data
-   page (and, if the index tail is full, one index page). *)
-let claim_slot t (d : dir_state) =
-  Sync.Mutex.lock d.d_tail_lock;
-  Sched.cpu_work Perf.Cpu.lock_acquire;
-  let finish slot =
-    Sync.Mutex.unlock d.d_tail_lock;
-    Ok slot
-  in
-  match d.d_free_slots with
-  | (pg, slot) :: rest ->
-    d.d_free_slots <- rest;
-    finish (pg, slot)
-  | [] -> (
-    let node = Numa.node_of_cpu t.topo (Sched.current_cpu ()) in
-    match Alloc_cache.alloc_page t.cache ~node ~kind:Pmem.Meta with
-    | Error e ->
-      Sync.Mutex.unlock d.d_tail_lock;
-      Error e
-    | Ok data_pg -> (
-      (* Link the fresh dentry page into the index chain. *)
-      let link_ok =
-        if d.d_index_tail = 0 || d.d_index_used >= Layout.index_entries then begin
-          match Alloc_cache.alloc_page t.cache ~node ~kind:Pmem.Meta with
-          | Error e -> Error e
-          | Ok idx_pg ->
-            if d.d_index_tail = 0 then
-              Layout.write_index_head t.pmem ~actor:t.proc ~dentry_addr:d.d_addr idx_pg
-            else Layout.write_index_next t.pmem ~actor:t.proc ~page:d.d_index_tail idx_pg;
-            d.d_index_pages <- d.d_index_pages @ [ idx_pg ];
-            d.d_index_tail <- idx_pg;
-            d.d_index_used <- 0;
-            Ok ()
-        end
-        else Ok ()
-      in
-      match link_ok with
-      | Error e ->
-        Alloc_cache.recycle_page t.cache ~page:data_pg ~kind:Pmem.Meta;
-        Sync.Mutex.unlock d.d_tail_lock;
-        Error e
-      | Ok () ->
-        Layout.write_index_entry t.pmem ~actor:t.proc ~page:d.d_index_tail d.d_index_used data_pg;
-        d.d_index_used <- d.d_index_used + 1;
-        d.d_data_pages <- d.d_data_pages @ [ data_pg ];
-        d.d_free_slots <-
-          List.init (Layout.dentries_per_page - 1) (fun i -> (data_pg, i + 1));
-        finish (data_pg, 0)))
+(* The leading data pages whose free slots no scan has collected yet.
+   A slot is either in [d_free_slots] or on one of these pages, never
+   both: a free slot on an unscanned page stays on media until
+   [find_free_slots] collects it, so a scan can never pick up a slot
+   the list already handed out (claimed, but not yet written). *)
+let unscanned_pages (d : dir_state) = List.filteri (fun i _ -> i < d.d_unscanned) d.d_data_pages
 
-let release_slot (d : dir_state) ~page ~slot =
+(* A skeleton ([build_dir_aux]) knows no free slots.  When the list runs
+   dry and the live count says a page not yet scanned still holds a free
+   slot, scan those pages from the tail backwards: stop at the first page
+   with a free slot (ino word 0) and keep every free slot it has.  A
+   directory whose pages are all full grows without reading a dentry
+   page.  Called with [d_tail_lock] held and the list empty. *)
+let find_free_slots t (d : dir_state) =
+  let slots = List.length d.d_data_pages * Layout.dentries_per_page in
+  if d.d_unscanned > 0 && d.d_size < slots then begin
+    let rec scan = function
+      | [] -> ()
+      | pg :: older ->
+        d.d_unscanned <- d.d_unscanned - 1;
+        (match read_dentry_page t pg with
+        | None -> ()
+        | Some b ->
+          for slot = Layout.dentries_per_page - 1 downto 0 do
+            if
+              Layout.get_u64 b ((slot * Layout.dentry_size) + Layout.off_ino) = 0
+              && not (releasing d pg slot)
+            then d.d_free_slots <- (pg, slot) :: d.d_free_slots
+          done);
+        if d.d_free_slots = [] then scan older
+    in
+    scan (List.rev (unscanned_pages d))
+  end
+
+(* Claim a free dentry slot, possibly growing the directory by one data
+   page (and, if the index tail is full, one index page).  The page scan
+   can fault, so the tail lock is released on the way out. *)
+let claim_slot t (d : dir_state) =
+  Sync.Mutex.with_lock d.d_tail_lock (fun () ->
+      Sched.cpu_work Perf.Cpu.lock_acquire;
+      if d.d_free_slots = [] then find_free_slots t d;
+      match d.d_free_slots with
+      | slot :: rest ->
+        d.d_free_slots <- rest;
+        Ok slot
+      | [] -> (
+        let node = Numa.node_of_cpu t.topo (Sched.current_cpu ()) in
+        match Alloc_cache.alloc_page t.cache ~node ~kind:Pmem.Meta with
+        | Error e -> Error e
+        | Ok data_pg -> (
+          (* Link the fresh dentry page into the index chain. *)
+          let link_ok =
+            if d.d_index_tail = 0 || d.d_index_used >= Layout.index_entries then begin
+              match Alloc_cache.alloc_page t.cache ~node ~kind:Pmem.Meta with
+              | Error e -> Error e
+              | Ok idx_pg ->
+                if d.d_index_tail = 0 then
+                  Layout.write_index_head t.pmem ~actor:t.proc ~dentry_addr:d.d_addr idx_pg
+                else Layout.write_index_next t.pmem ~actor:t.proc ~page:d.d_index_tail idx_pg;
+                d.d_index_pages <- d.d_index_pages @ [ idx_pg ];
+                d.d_index_tail <- idx_pg;
+                d.d_index_used <- 0;
+                Ok ()
+            end
+            else Ok ()
+          in
+          match link_ok with
+          | Error e ->
+            Alloc_cache.recycle_page t.cache ~page:data_pg ~kind:Pmem.Meta;
+            Error e
+          | Ok () ->
+            Layout.write_index_entry t.pmem ~actor:t.proc ~page:d.d_index_tail d.d_index_used
+              data_pg;
+            d.d_index_used <- d.d_index_used + 1;
+            d.d_data_pages <- d.d_data_pages @ [ data_pg ];
+            d.d_free_slots <-
+              List.init (Layout.dentries_per_page - 1) (fun i -> (data_pg, i + 1));
+            Ok (data_pg, 0))))
+
+(* Tombstone the dentry at [addr]; the slot stays off every scan until
+   [release_slot] returns it, after its index entry is gone. *)
+let clear_slot t (d : dir_state) ~addr =
   Sync.Mutex.lock d.d_tail_lock;
-  d.d_free_slots <- (page, slot) :: d.d_free_slots;
+  d.d_releasing <- addr :: d.d_releasing;
+  Sync.Mutex.unlock d.d_tail_lock;
+  Layout.clear_dentry_atomic t.pmem ~actor:t.proc ~addr
+
+(* Return a cleared slot: to the list if its page was scanned, else to
+   the media, where the scan of its page will find it. *)
+let release_slot (d : dir_state) ~addr =
+  Sync.Mutex.lock d.d_tail_lock;
+  d.d_releasing <- List.filter (( <> ) addr) d.d_releasing;
+  let pg = addr / page_size in
+  if not (List.mem pg (unscanned_pages d)) then
+    d.d_free_slots <- (pg, addr mod page_size / Layout.dentry_size) :: d.d_free_slots;
   Sync.Mutex.unlock d.d_tail_lock
 
 (* Adjust the directory's live-entry count (its inode [size] field) with
@@ -1409,7 +1472,7 @@ let op_unlink t path =
             | None -> Error ENOENT
             | Some { e_ftype = Dir; _ } -> Error EISDIR
             | Some r ->
-              Layout.clear_dentry_atomic t.pmem ~actor:t.proc ~addr:r.e_addr;
+              clear_slot t d ~addr:r.e_addr;
               ignore (Htbl.remove d.d_names name);
               Ok r)
       in
@@ -1417,9 +1480,7 @@ let op_unlink t path =
       | Error e -> Error e
       | Ok r ->
         index_delete t d name r.e_addr;
-        let page = r.e_addr / page_size in
-        let slot = r.e_addr mod page_size / Layout.dentry_size in
-        release_slot d ~page ~slot;
+        release_slot d ~addr:r.e_addr;
         bump_dir_size t d (-1);
         (* free the file's pages *)
         (if known_to_kernel t r.e_ino then
@@ -1464,7 +1525,7 @@ let op_rmdir t path =
               | Ok child ->
                 if child.d_size > 0 then Error ENOTEMPTY
                 else begin
-                  Layout.clear_dentry_atomic t.pmem ~actor:t.proc ~addr:r.e_addr;
+                  clear_slot t d ~addr:r.e_addr;
                   ignore (Htbl.remove d.d_names name);
                   Ok (r, child)
                 end))
@@ -1473,9 +1534,7 @@ let op_rmdir t path =
       | Error e -> Error e
       | Ok (r, child) ->
         index_delete t d name r.e_addr;
-        let page = r.e_addr / page_size in
-        let slot = r.e_addr mod page_size / Layout.dentry_size in
-        release_slot d ~page ~slot;
+        release_slot d ~addr:r.e_addr;
         bump_dir_size t d (-1);
         (if known_to_kernel t r.e_ino then begin
            ignore (Controller.unmap_file t.ctl ~proc:t.proc ~ino:r.e_ino);
@@ -1651,52 +1710,53 @@ let op_rename t src dst =
               (* replace an existing destination *)
               (match existing with
               | Some er ->
-                Layout.clear_dentry_atomic t.pmem ~actor:t.proc ~addr:er.e_addr;
+                clear_slot t dd ~addr:er.e_addr;
                 ignore (Htbl.remove dd.d_names dname);
-                let epage = er.e_addr / page_size in
-                let eslot = er.e_addr mod page_size / Layout.dentry_size in
-                release_slot dd ~page:epage ~slot:eslot;
                 (if known_to_kernel t er.e_ino then
                    ignore (Controller.free_file_tree t.ctl ~proc:t.proc ~ino:er.e_ino));
                 Hashtbl.remove t.files er.e_ino
               | None -> ());
-              Layout.clear_dentry_atomic t.pmem ~actor:t.proc ~addr:src_ref.e_addr;
+              clear_slot t sd ~addr:src_ref.e_addr;
               Journal.commit journal tx;
-              (* auxiliary state *)
-              ignore (Htbl.remove sd.d_names sname);
-              let spage = src_ref.e_addr / page_size in
-              let sslot = src_ref.e_addr mod page_size / Layout.dentry_size in
-              release_slot sd ~page:spage ~slot:sslot;
-              Htbl.replace dd.d_names dname
-                { e_ino = src_ref.e_ino; e_addr = dst_addr; e_ftype = src_ref.e_ftype };
-              (* entry accounting: the source loses one entry; the
-                 destination gains one unless an existing entry was
-                 replaced.  Within one directory that nets to -1 on a
-                 replace and 0 otherwise. *)
-              let replaced = Option.is_some existing in
-              if sd.d_ino <> dd.d_ino then begin
-                bump_dir_size t sd (-1);
-                if not replaced then bump_dir_size t dd 1
-              end
-              else if replaced then bump_dir_size t sd (-1);
-              (* moved aux state must point at the new dentry *)
-              (match Hashtbl.find_opt t.files src_ref.e_ino with
-              | Some f -> f.r_addr <- dst_addr
-              | None -> ());
-              (match Hashtbl.find_opt t.dirs src_ref.e_ino with
-              | Some d -> d.d_addr <- dst_addr
-              | None -> ());
-              (* index fixups, dentry truth already committed: the
-                 source key leaves its tree, a replaced destination key
-                 leaves too, and the new slot enters the destination's
-                 tree.  A crash anywhere in between is reconciled by
-                 mount recovery (the journal already sealed the dentry
-                 moves). *)
-              index_delete t sd sname src_ref.e_addr;
-              (match existing with
-              | Some er -> index_delete t dd dname er.e_addr
-              | None -> ());
-              index_insert t dd dname dst_addr;
+              (* the clears are durable: the parked slots go back once the
+                 index fixups below are done, or as a fault unwinds them *)
+              let release () =
+                release_slot sd ~addr:src_ref.e_addr;
+                Option.iter (fun er -> release_slot dd ~addr:er.e_addr) existing
+              in
+              Fun.protect ~finally:release (fun () ->
+                (* auxiliary state *)
+                ignore (Htbl.remove sd.d_names sname);
+                Htbl.replace dd.d_names dname
+                  { e_ino = src_ref.e_ino; e_addr = dst_addr; e_ftype = src_ref.e_ftype };
+                (* entry accounting: the source loses one entry; the
+                   destination gains one unless an existing entry was
+                   replaced.  Within one directory that nets to -1 on a
+                   replace and 0 otherwise. *)
+                let replaced = Option.is_some existing in
+                if sd.d_ino <> dd.d_ino then begin
+                  bump_dir_size t sd (-1);
+                  if not replaced then bump_dir_size t dd 1
+                end
+                else if replaced then bump_dir_size t sd (-1);
+                (* moved aux state must point at the new dentry *)
+                (match Hashtbl.find_opt t.files src_ref.e_ino with
+                | Some f -> f.r_addr <- dst_addr
+                | None -> ());
+                (match Hashtbl.find_opt t.dirs src_ref.e_ino with
+                | Some d -> d.d_addr <- dst_addr
+                | None -> ());
+                (* index fixups, dentry truth already committed: the
+                   source key leaves its tree, a replaced destination key
+                   leaves too, and the new slot enters the destination's
+                   tree.  A crash anywhere in between is reconciled by
+                   mount recovery (the journal already sealed the dentry
+                   moves). *)
+                index_delete t sd sname src_ref.e_addr;
+                (match existing with
+                | Some er -> index_delete t dd dname er.e_addr
+                | None -> ());
+                index_insert t dd dname dst_addr);
               (* unmap destination first so the verifier sees the move
                  before the source's deleted-child diff (DESIGN.md) *)
               if t.unmap_after_write then begin

@@ -10,8 +10,9 @@
    Crash discipline (single writer per directory; readers are lock-free
    thanks to the B-link right-sibling pointers):
 
-   - leaf/internal insert without overflow: one full-node rewrite whose
-     trailing CRC makes a torn write detectable (reader falls back);
+   - leaf/internal insert without overflow: one rewrite of the node's
+     live prefix whose header CRC makes a torn write detectable (reader
+     falls back);
    - split: the new right sibling is written first (unreachable until
      linked), then the left node is rewritten with halved keys, the
      right link and the new high key — the tree is consistent before
@@ -60,22 +61,26 @@ let max_key = (max_int, max_int)
 (* Node I/O *)
 
 (* Reading a node costs one in-node probe's worth of CPU on top of the
-   media access the Pmem layer charges.  Userspace actors read through
-   ECC: a poisoned node is indistinguishable from a torn one — both
-   degrade to the scan fallback.  [fetch] may serve the page from a DRAM
-   snapshot (the incremental verifier's delta checkpoint). *)
+   media access the Pmem layer charges.  The access covers the node's
+   live prefix only ({!Layout.dnode_read_len}): one MMU-checked, charged
+   read whose length the node's own header decides.  Userspace actors
+   read through ECC: a poisoned prefix is indistinguishable from a torn
+   node — both degrade to the scan fallback — while poison behind the
+   prefix is never touched.  [fetch] may serve the page from a DRAM
+   snapshot (the incremental verifier's delta checkpoint); the same
+   prefix of it is decoded. *)
 let read_node ?fetch pm ~actor page =
   Sched.cpu_work Perf.Cpu.hash_lookup;
   if page <= Layout.root_dentry_page || page >= Pmem.total_pages pm then
     Error (Printf.sprintf "index node %d outside the volume" page)
   else begin
     let from_device () =
-      if actor = Pmem.kernel_actor then
-        Ok (Pmem.read pm ~actor ~addr:(page * page_size) ~len:page_size)
-      else
-        match Pmem.read_ecc pm ~actor ~addr:(page * page_size) ~len:page_size with
-        | Pmem.Ecc.Ok b -> Ok b
-        | Pmem.Ecc.Poisoned _ -> Error (Printf.sprintf "index node %d poisoned" page)
+      match
+        Pmem.read_sized pm ~actor ~addr:(page * page_size) ~head:Layout.dnode_hdr_size
+          ~max:page_size ~len_of:Layout.dnode_read_len
+      with
+      | Pmem.Ecc.Ok b -> Ok b
+      | Pmem.Ecc.Poisoned _ -> Error (Printf.sprintf "index node %d poisoned" page)
     in
     let bytes =
       match fetch with
@@ -90,9 +95,12 @@ let read_node ?fetch pm ~actor page =
       | Error e -> Error (Printf.sprintf "index node %d: %s" page e))
   end
 
+(* Write and persist the node's live prefix; the rest of the page is
+   left as it was. *)
 let write_node pm ~actor page (n : Layout.dnode) =
-  Pmem.write pm ~actor ~addr:(page * page_size) ~src:(Layout.encode_dnode n);
-  Pmem.persist pm ~addr:(page * page_size) ~len:page_size
+  let b = Layout.encode_dnode n in
+  Pmem.write pm ~actor ~addr:(page * page_size) ~src:b;
+  Pmem.persist pm ~addr:(page * page_size) ~len:(Bytes.length b)
 
 let high_of (n : Layout.dnode) = (n.Layout.dn_high_hash, n.Layout.dn_high_addr)
 
@@ -121,20 +129,20 @@ let lookup ?fetch ?stats pm ~actor ~root ~hash =
   if root = 0 then Ok []
   else begin
     let bound = Pmem.total_pages pm in
-    let rec collect page acc steps =
-      if steps > bound then Error "index chain too long (cycle?)"
-      else
-        match read_node ?fetch pm ~actor page with
-        | Error _ as e -> e
-        | Ok n ->
-          let acc =
-            Array.fold_left
-              (fun acc (h, a, _) -> if h = hash then a :: acc else acc)
-              acc n.Layout.dn_entries
-          in
-          if n.Layout.dn_right <> 0 && n.Layout.dn_high_hash <= hash then
-            collect n.Layout.dn_right acc (steps + 1)
-          else Ok (List.rev acc)
+    (* [n] is the leaf the descent already read: each node is read once *)
+    let rec collect (n : Layout.dnode) acc steps =
+      let acc =
+        Array.fold_left
+          (fun acc (h, a, _) -> if h = hash then a :: acc else acc)
+          acc n.Layout.dn_entries
+      in
+      if n.Layout.dn_right <> 0 && n.Layout.dn_high_hash <= hash then
+        if steps >= bound then Error "index chain too long (cycle?)"
+        else
+          match read_node ?fetch pm ~actor n.Layout.dn_right with
+          | Error _ as e -> e
+          | Ok r -> collect r acc (steps + 1)
+      else Ok (List.rev acc)
     in
     let rec descend page steps =
       if steps > bound then Error "index descent too deep (cycle?)"
@@ -144,7 +152,7 @@ let lookup ?fetch ?stats pm ~actor ~root ~hash =
         | Ok n ->
           if (hash, 0) >= high_of n && n.Layout.dn_right <> 0 then
             descend n.Layout.dn_right (steps + 1)
-          else if n.Layout.dn_level = 0 then collect page [] steps
+          else if n.Layout.dn_level = 0 then collect n [] steps
           else (
             match route n (hash, 0) with
             | Some child -> descend child (steps + 1)
@@ -391,13 +399,14 @@ let fold ?fetch ?stats pm ~actor ~root ~init ~f =
   if root = 0 then Ok init
   else begin
     let bound = Pmem.total_pages pm in
+    (* every node is read once: [leftmost] hands its leaf to [scan] *)
     let rec leftmost page steps =
       if steps > bound then Error "index descent too deep (cycle?)"
       else
         match read_node ?fetch pm ~actor page with
         | Error _ as e -> e
         | Ok n ->
-          if n.Layout.dn_level = 0 then Ok page
+          if n.Layout.dn_level = 0 then Ok n
           else (
             match n.Layout.dn_entries with
             | [||] -> Error "index node has no covering child"
@@ -405,17 +414,16 @@ let fold ?fetch ?stats pm ~actor ~root ~init ~f =
               let _, _, child = es.(0) in
               leftmost child (steps + 1))
     in
-    let rec scan page acc steps =
-      if page = 0 then Ok acc
-      else if steps > bound then Error "index chain too long (cycle?)"
+    let rec scan (n : Layout.dnode) acc steps =
+      let acc =
+        Array.fold_left (fun acc (h, a, _) -> f acc ~hash:h ~addr:a) acc n.Layout.dn_entries
+      in
+      if n.Layout.dn_right = 0 then Ok acc
+      else if steps >= bound then Error "index chain too long (cycle?)"
       else
-        match read_node ?fetch pm ~actor page with
+        match read_node ?fetch pm ~actor n.Layout.dn_right with
         | Error _ as e -> e
-        | Ok n ->
-          let acc =
-            Array.fold_left (fun acc (h, a, _) -> f acc ~hash:h ~addr:a) acc n.Layout.dn_entries
-          in
-          scan n.Layout.dn_right acc (steps + 1)
+        | Ok r -> scan r acc (steps + 1)
     in
     match leftmost root 0 with Error _ as e -> e | Ok leaf -> scan leaf init 0
   end

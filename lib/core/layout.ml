@@ -302,9 +302,9 @@ let dentry_slot_addr page slot =
    key unique, so hash collisions never straddle a split ambiguously —
    equal-hash entries are simply adjacent in key order.
 
-     magic u32 | level u8 | nkeys u16 | right-sibling page u64
-     | high hash u64 | high addr u64 | entries (24 bytes each)
-     | ... zero fill ... | crc u64 (CRC32 of everything before it)
+     magic u32 | crc u32 | level u8 | pad u8 | nkeys u16 | pad u32
+     | right-sibling page u64 | high hash u64 | high addr u64
+     | entries (24 bytes each) | ... stale bytes ...
 
    A leaf entry is (hash, dentry addr, 0); an internal entry is
    (separator hash, separator addr, child page) where the child covers
@@ -312,23 +312,37 @@ let dentry_slot_addr page slot =
    last separator.  The rightmost node at each level has high key
    (max_int, max_int) and no right sibling.
 
-   The CRC covers the whole page body, so a torn node write decodes as
-   an error — readers fall back to the dentry-page scan and the index
-   is rebuilt from its leaves (the dentry pages stay the source of
-   truth; the tree is an accelerator). *)
+   A node costs its live prefix, not its page ("DIX2"): the 40-byte
+   header plus the [nkeys] live entries is all that is written,
+   persisted and read back; the bytes behind it are never looked at.
+   The CRC sits in the header and covers everything after itself up to
+   the end of the live prefix, so a torn rewrite — header line without
+   its entry lines or the reverse — decodes as an error: readers fall
+   back to the dentry-page scan and the index is rebuilt from its leaves
+   (the dentry pages stay the source of truth; the tree is an
+   accelerator). *)
 
-let dnode_magic = 0x44495831 (* "DIX1" *)
-let dnode_hdr_size = 32
+let dnode_magic = 0x44495832 (* "DIX2" *)
+let dnode_hdr_size = 40
 let dnode_entry_size = 24
-let dnode_crc_off = page_size - 8
-let dnode_capacity = (dnode_crc_off - dnode_hdr_size) / dnode_entry_size (* 169 *)
+let dnode_capacity = (page_size - dnode_hdr_size) / dnode_entry_size (* 169 *)
 
 let dn_off_magic = 0
-let dn_off_level = 4
-let dn_off_nkeys = 6
-let dn_off_right = 8
-let dn_off_high_hash = 16
-let dn_off_high_addr = 24
+let dn_off_crc = 4
+let dn_off_level = 8
+let dn_off_nkeys = 10
+let dn_off_right = 16
+let dn_off_high_hash = 24
+let dn_off_high_addr = 32
+
+(* Bytes a node with [nkeys] live entries occupies. *)
+let dnode_len nkeys = dnode_hdr_size + (nkeys * dnode_entry_size)
+
+(* The read that fetches a node given its header: the live prefix, at
+   least one cache line.  A garbage key count is clamped to a full node,
+   which then fails to decode. *)
+let dnode_read_len hdr =
+  Int.max Pmem.line_size (dnode_len (Int.min dnode_capacity (get_u16 hdr dn_off_nkeys)))
 
 type dnode = {
   dn_level : int; (* 0 = leaf *)
@@ -338,10 +352,14 @@ type dnode = {
   dn_entries : (int * int * int) array;
 }
 
+let dnode_crc b ~len = Crc32.of_bytes ~pos:dn_off_level ~len:(len - dn_off_level) b
+
+(* The node's live prefix, ready to be written at the page start. *)
 let encode_dnode (n : dnode) : Bytes.t =
   let nkeys = Array.length n.dn_entries in
   if nkeys > dnode_capacity then invalid_arg "Layout.encode_dnode: too many entries";
-  let b = Bytes.make page_size '\000' in
+  let len = dnode_len nkeys in
+  let b = Bytes.make len '\000' in
   set_u32 b dn_off_magic dnode_magic;
   set_u8 b dn_off_level n.dn_level;
   set_u16 b dn_off_nkeys nkeys;
@@ -350,22 +368,25 @@ let encode_dnode (n : dnode) : Bytes.t =
   set_u64 b dn_off_high_addr n.dn_high_addr;
   Array.iteri
     (fun i (h, a, x) ->
-      let off = dnode_hdr_size + (i * dnode_entry_size) in
+      let off = dnode_len i in
       set_u64 b off h;
       set_u64 b (off + 8) a;
       set_u64 b (off + 16) x)
     n.dn_entries;
-  set_u64 b dnode_crc_off (Crc32.of_bytes ~pos:0 ~len:dnode_crc_off b);
+  set_u32 b dn_off_crc (dnode_crc b ~len);
   b
 
+(* Decode a node from any buffer holding at least its live prefix (a
+   prefix read, or a whole page from a DRAM snapshot). *)
 let decode_dnode (b : Bytes.t) : (dnode, string) result =
-  if Bytes.length b <> page_size then Error "index node: wrong page size"
+  if Bytes.length b < dnode_hdr_size then Error "index node: short read"
   else if get_u32 b dn_off_magic <> dnode_magic then Error "index node: bad magic"
-  else if get_u64 b dnode_crc_off <> Crc32.of_bytes ~pos:0 ~len:dnode_crc_off b then
-    Error "index node: bad crc"
   else begin
     let nkeys = get_u16 b dn_off_nkeys in
+    let len = dnode_len nkeys in
     if nkeys > dnode_capacity then Error "index node: bad key count"
+    else if Bytes.length b < len then Error "index node: short read"
+    else if get_u32 b dn_off_crc <> dnode_crc b ~len then Error "index node: bad crc"
     else
       Ok
         {
@@ -375,7 +396,7 @@ let decode_dnode (b : Bytes.t) : (dnode, string) result =
           dn_high_addr = get_u64 b dn_off_high_addr;
           dn_entries =
             Array.init nkeys (fun i ->
-                let off = dnode_hdr_size + (i * dnode_entry_size) in
+                let off = dnode_len i in
                 (get_u64 b off, get_u64 b (off + 8), get_u64 b (off + 16)));
         }
   end

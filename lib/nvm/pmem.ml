@@ -522,6 +522,21 @@ let read_ecc t ~actor ~addr ~len : Ecc.read =
     t.poison_read_hits <- t.poison_read_hits + 1;
     Ecc.Poisoned bad
 
+(* One read of a self-sizing record of at most [max] bytes: the access
+   looks at the record's first [head] bytes, [len_of] turns them into
+   the record's length (clamped to [head, max]), and exactly that many
+   bytes are moved and charged, once — the cost of a read whose caller
+   already knew the length.  The kernel reads through poison as with
+   [read]; other actors get [read_ecc]'s verdict on the whole record. *)
+let read_sized t ~actor ~addr ~head ~max ~len_of : Ecc.read =
+  check_bounds t ~what:"Pmem.read_sized" ~addr ~len:max;
+  check_range t ~actor ~addr ~len:head ~write:false;
+  let hdr = Bytes.create head in
+  iter_pages addr head (fun ~pg ~off ~chunk ~done_ ->
+      blit_from_page t pg ~off ~dst:hdr ~dst_pos:done_ ~len:chunk);
+  let len = Int.max head (Int.min max (len_of hdr)) in
+  if actor = kernel_actor then Ecc.Ok (read t ~actor ~addr ~len) else read_ecc t ~actor ~addr ~len
+
 (* Arm the crash injector: the [n]th subsequent store by a non-kernel
    actor raises {!Crash_point} instead of executing — the process dies
    mid-operation at an arbitrary store boundary. *)
@@ -711,6 +726,10 @@ let materialized_pages t = Hashtbl.length t.pages
 let node_stats t node =
   let n = t.nodes.(node) in
   (n.peak_active, n.bytes_read, n.bytes_written)
+
+(* NVM bytes (read, written) moved so far, summed over every node. *)
+let bytes_moved t =
+  Array.fold_left (fun (r, w) n -> (r +. n.bytes_read, w +. n.bytes_written)) (0.0, 0.0) t.nodes
 
 (* ------------------------------------------------------------------ *)
 (* Replay: reconstruct a device image from an event-log prefix.

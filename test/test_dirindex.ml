@@ -199,13 +199,121 @@ let test_build_nospace () =
       | Error `Nospace -> ()
       | Ok _ -> Alcotest.fail "build succeeded without any pages")
 
-(* ------------------------------------------------------------------ *)
-(* LibFS integration *)
-
 let with_fs f =
   Helpers.run_sim (fun env ->
       let fs = Helpers.mount ~proc:1 env in
       f env fs (Libfs.ops fs))
+
+(* ------------------------------------------------------------------ *)
+(* Node I/O: a node costs its live prefix, not its page *)
+
+module Layout = Trio_core.Layout
+module Sched = Trio_sim.Sched
+module Perf = Trio_nvm.Perf
+
+let bytes_read pm = int_of_float (fst (Pmem.bytes_moved pm))
+
+(* NVM bytes read and virtual ns spent by [f ()]. *)
+let measure pm f =
+  let b0 = bytes_read pm and t0 = Sched.now (Pmem.sched pm) in
+  let v = f () in
+  (v, bytes_read pm - b0, Sched.now (Pmem.sched pm) -. t0)
+
+let fill pm alloc free n =
+  let root = ref 0 in
+  for a = 0 to n - 1 do
+    let r, _ =
+      iok "insert"
+        (Dirindex.insert pm ~actor:Pmem.kernel_actor ~alloc ~free ~root:!root ~hash:a ~addr:a)
+    in
+    root := r
+  done;
+  !root
+
+let test_small_node_read () =
+  with_tree (fun pm alloc free ->
+      let root = fill pm alloc free 1 in
+      let addrs, nbytes, _ =
+        measure pm (fun () ->
+            tok "lookup" (Dirindex.lookup pm ~actor:Pmem.kernel_actor ~root ~hash:0))
+      in
+      Alcotest.(check (list int)) "found" [ 0 ] addrs;
+      if nbytes > Pmem.line_size then Alcotest.failf "1-entry lookup read %d B" nbytes)
+
+(* A full node's live prefix is the whole page.  The lookup must cost
+   exactly one read of it plus the in-node probe: a second access (say,
+   header line first) would pay the media latency twice. *)
+let test_full_node_one_access () =
+  with_tree (fun pm alloc free ->
+      let actor = Pmem.kernel_actor in
+      let cap = Layout.dnode_capacity in
+      let root = fill pm alloc free cap in
+      Alcotest.(check (list int)) "one node" [ root ] (Dirindex.pages pm ~actor ~root);
+      let addrs, nbytes, ns =
+        measure pm (fun () -> tok "lookup" (Dirindex.lookup pm ~actor ~root ~hash:7))
+      in
+      Alcotest.(check (list int)) "found" [ 7 ] addrs;
+      Alcotest.(check int) "live prefix" (Layout.dnode_len cap) nbytes;
+      let _, _, one_read =
+        measure pm (fun () ->
+            Pmem.read pm ~actor ~addr:(root * Pmem.page_size) ~len:(Layout.dnode_len cap))
+      in
+      let _, _, probe = measure pm (fun () -> Sched.cpu_work Perf.Cpu.hash_lookup) in
+      Alcotest.(check (float 1e-6)) "one access" (one_read +. probe) ns)
+
+(* Tear a rewrite of the root node of "/" at its first line boundary:
+   the old node holds f0..f3 (136 B, three lines), the new one drops its
+   second entry.  Either half alone fails the header CRC, and a cold
+   process still resolves every name through the dentry scan. *)
+let test_torn_prefix () =
+  List.iter
+    (fun new_header ->
+      with_fs (fun env fs ops ->
+          let pm = env.Helpers.pmem and actor = Pmem.kernel_actor in
+          for i = 0 to 3 do
+            ignore (ok "create" (ops.Fs.create (Printf.sprintf "/f%d" i) 0o644) : int)
+          done;
+          Libfs.unmap_everything fs;
+          let root = Layout.read_dindex_root pm ~actor ~dentry_addr:Layout.root_dentry_addr in
+          let node = tok "read root" (Dirindex.read_node pm ~actor root) in
+          Alcotest.(check int) "four entries" 4 (Array.length node.Layout.dn_entries);
+          let old_b = Layout.encode_dnode node in
+          let kept = List.filteri (fun i _ -> i <> 1) (Array.to_list node.Layout.dn_entries) in
+          let new_b = Layout.encode_dnode { node with Layout.dn_entries = Array.of_list kept } in
+          let line = Pmem.line_size in
+          let torn = Bytes.copy old_b in
+          if new_header then Bytes.blit new_b 0 torn 0 line
+          else Bytes.blit new_b line torn line (Bytes.length new_b - line);
+          let addr = root * Pmem.page_size in
+          Pmem.write pm ~actor ~addr ~src:torn;
+          Pmem.persist pm ~addr ~len:(Bytes.length torn);
+          (match Dirindex.read_node pm ~actor root with
+          | Ok _ -> Alcotest.failf "torn node (new header %b) decoded" new_header
+          | Error _ -> ());
+          let cold = Libfs.ops (Helpers.mount ~proc:2 env) in
+          for i = 0 to 3 do
+            ignore (ok "found by scan" (cold.Fs.stat (Printf.sprintf "/f%d" i)) : stat)
+          done))
+    [ true; false ]
+
+(* User reads go through ECC over the live prefix only. *)
+let test_poison_prefix () =
+  with_tree (fun pm alloc free ->
+      let root = fill pm alloc free 3 in
+      let user = 7 in
+      Pmem.set_perm_check pm (fun ~actor:_ ~page:_ ~write:_ -> true);
+      let page_addr = root * Pmem.page_size in
+      Pmem.inject_poison pm ~addr:(page_addr + Pmem.page_size - Pmem.line_size) ~len:Pmem.line_size;
+      Alcotest.(check (list int))
+        "poison past the prefix" [ 2 ]
+        (tok "lookup" (Dirindex.lookup pm ~actor:user ~root ~hash:2));
+      Pmem.inject_poison pm ~addr:(page_addr + Pmem.line_size) ~len:Pmem.line_size;
+      match Dirindex.lookup pm ~actor:user ~root ~hash:2 with
+      | Ok _ -> Alcotest.fail "poison inside the prefix was not reported"
+      | Error _ -> ())
+
+(* ------------------------------------------------------------------ *)
+(* LibFS integration *)
 
 (* Rename between two indexed directories: the entry must leave the
    source tree and land in the destination tree, and the handoff must
@@ -259,6 +367,169 @@ let test_readdir_order () =
       Alcotest.(check int) "complete" 41 (List.length first))
 
 (* ------------------------------------------------------------------ *)
+(* Directory growth across handoffs *)
+
+(* The data pages of directory [path], from the kernel's own walk. *)
+let dir_data_pages env ops path =
+  let st = ok "stat" (ops.Fs.stat path) in
+  match Controller.dentry_addr_of env.Helpers.ctl st.st_ino with
+  | None -> Alcotest.failf "%s unknown to the kernel" path
+  | Some dentry_addr -> (
+    match Controller.walk_file env.Helpers.ctl ~ino:st.st_ino ~dentry_addr with
+    | Some (_, _, data, _) -> data
+    | None -> Alcotest.failf "%s: walk failed" path)
+
+(* Every create and unlink hands the directory back, so every create
+   rebuilds its aux state from core state.  The rebuilt directory must
+   reuse the slot the last unlink freed: one data page throughout, and
+   the same PTE ops for every handoff. *)
+let test_handoffs_reuse_slots ?ring () =
+  Helpers.run_sim (fun env ->
+      let setup = Helpers.mount ~proc:1 env in
+      ok "mkdir" ((Libfs.ops setup).Fs.mkdir "/d" 0o755);
+      Libfs.unmap_everything setup;
+      let fs = Helpers.mount ~proc:2 ~unmap_after_write:true ?ring env in
+      let ops = Libfs.ops fs in
+      let pte_per_op =
+        List.init 200 (fun i ->
+            let p0 = Trio_core.Mmu.pte_ops env.Helpers.mmu in
+            let path = Printf.sprintf "/d/f%d" i in
+            ignore (ok "close" (ops.Fs.close (ok "create" (ops.Fs.create path 0o644))) : unit);
+            ok "unlink" (ops.Fs.unlink path);
+            Trio_core.Mmu.pte_ops env.Helpers.mmu - p0)
+      in
+      Libfs.unmap_everything fs;
+      Alcotest.(check int) "one data page" 1 (List.length (dir_data_pages env ops "/d"));
+      (* the first handoff maps a directory this process never held *)
+      match List.tl pte_per_op with
+      | [] -> ()
+      | first :: rest ->
+        List.iteri
+          (fun i n ->
+            if n <> first then Alcotest.failf "handoff %d: %d PTE ops, not %d" (i + 2) n first)
+          rest)
+
+(* A cold process creating in a directory whose pages are all full
+   (64 entries, 4 pages) must not read any of them: the live count says
+   there is no free slot, so it grows by exactly one page. *)
+let test_full_dir_grows_blind () =
+  Helpers.run_sim (fun env ->
+      let pm = env.Helpers.pmem and mmu = env.Helpers.mmu in
+      let w = Helpers.mount ~proc:1 env in
+      let ops = Libfs.ops w in
+      ok "mkdir" (ops.Fs.mkdir "/e" 0o755);
+      for i = 0 to 63 do
+        ignore (ok "create" (ops.Fs.create (Printf.sprintf "/e/f%02d" i) 0o644) : int)
+      done;
+      Libfs.unmap_everything w;
+      let full = dir_data_pages env ops "/e" in
+      Alcotest.(check int) "four full pages" 4 (List.length full);
+      let reads = ref 0 in
+      Pmem.set_perm_check pm (fun ~actor ~page ~write ->
+          if actor = 2 && (not write) && List.mem page full then incr reads;
+          Trio_core.Mmu.has_perm mmu ~actor ~page ~write);
+      let cold = Helpers.mount ~proc:2 env in
+      ignore (ok "cold create" ((Libfs.ops cold).Fs.create "/e/new" 0o644) : int);
+      Pmem.set_perm_check pm (Trio_core.Mmu.has_perm mmu);
+      Libfs.unmap_everything cold;
+      Alcotest.(check int) "no dentry page read" 0 !reads;
+      Alcotest.(check int) "one page added" 5 (List.length (dir_data_pages env ops "/e")))
+
+(* An unlink's slot is free on media before its index key is gone.  A
+   create racing it in a rebuilt directory must not pick that slot up
+   from the media scan, or the unlink's late release hands the slot out
+   a second time and a later create overwrites a live entry.  The
+   create's start offset is swept so that some offsets land inside the
+   unlink's window. *)
+let test_racing_unlink_create () =
+  for step = 0 to 59 do
+    Helpers.run_sim (fun env ->
+        let w = Helpers.mount ~proc:1 env in
+        let ops = Libfs.ops w in
+        ok "mkdir" (ops.Fs.mkdir "/r" 0o755);
+        for i = 0 to 15 do
+          ignore (ok "create" (ops.Fs.create (Printf.sprintf "/r/f%02d" i) 0o644) : int)
+        done;
+        Libfs.unmap_everything w;
+        let fs = Helpers.mount ~proc:2 env in
+        let ops = Libfs.ops fs in
+        (* write-map the directory before the race, so neither racer
+           remaps it; the slot stays on media, the free list empty and
+           the page unscanned, so the racing create scans it *)
+        ok "unlink f04" (ops.Fs.unlink "/r/f04");
+        let finished = ref 0 in
+        Sched.spawn env.Helpers.sched (fun () ->
+            ok "racing unlink" (ops.Fs.unlink "/r/f01");
+            incr finished);
+        Sched.spawn env.Helpers.sched (fun () ->
+            Sched.delay (float_of_int step *. 50.0);
+            ignore (ok "racing create" (ops.Fs.create "/r/new" 0o644) : int);
+            incr finished);
+        while !finished < 2 do
+          Sched.delay 1000.0
+        done;
+        ignore (ok "create after" (ops.Fs.create "/r/after" 0o644) : int);
+        List.iter
+          (fun n -> ignore (ok n (ops.Fs.stat ("/r/" ^ n)) : stat))
+          [ "new"; "after"; "f00"; "f02" ];
+        Alcotest.(check int) "entries" 16 (List.length (ok "readdir" (ops.Fs.readdir "/r")));
+        Libfs.unmap_everything fs;
+        Alcotest.(check int)
+          "no corruption" 0
+          (List.length (Controller.corruption_events env.Helpers.ctl)))
+  done
+
+(* A slot an unlink frees in a rebuilt directory must not be reachable
+   twice: once from the free list and once from the media scan of its
+   not-yet-scanned page.  [race] claims a second slot while a create
+   holds the first one claimed but unwritten (the dentry body is
+   persisted before its ino word); the offset between the two starts is
+   swept both ways so that some offsets land inside that window, in
+   either order.  A rename holds its claim across journal I/O, so that
+   race fails when the rule is broken; a create holds its claim for
+   less time than a one-page scan takes to sample the media, so with
+   today's cost constants the two-create case cannot interleave and
+   guards the rule only against a change of costs. *)
+let test_racing_claims ~entries race () =
+  for step = -40 to 19 do
+    let offset = float_of_int step *. 50.0 in
+    Helpers.run_sim (fun env ->
+        let w = Helpers.mount ~proc:1 env in
+        let ops = Libfs.ops w in
+        ok "mkdir" (ops.Fs.mkdir "/r" 0o755);
+        for i = 0 to 15 do
+          ignore (ok "create" (ops.Fs.create (Printf.sprintf "/r/f%02d" i) 0o644) : int)
+        done;
+        Libfs.unmap_everything w;
+        let fs = Helpers.mount ~proc:2 env in
+        let ops = Libfs.ops fs in
+        (* the only free slot, on the one page no scan has read *)
+        ok "unlink f03" (ops.Fs.unlink "/r/f03");
+        let finished = ref 0 in
+        Sched.spawn env.Helpers.sched (fun () ->
+            Sched.delay (Float.max 0.0 (-.offset));
+            ignore (ok "racing create" (ops.Fs.create "/r/new" 0o644) : int);
+            incr finished);
+        Sched.spawn env.Helpers.sched (fun () ->
+            Sched.delay (Float.max 0.0 offset);
+            race ops;
+            incr finished);
+        while !finished < 2 do
+          Sched.delay 1000.0
+        done;
+        let names = List.map (fun e -> e.d_name) (ok "readdir" (ops.Fs.readdir "/r")) in
+        List.iter (fun n -> ignore (ok n (ops.Fs.stat ("/r/" ^ n)) : stat)) ("new" :: names);
+        Alcotest.(check int) "entries" entries (List.length names);
+        Libfs.unmap_everything fs;
+        Alcotest.(check int)
+          "no corruption" 0
+          (List.length (Controller.corruption_events env.Helpers.ctl)))
+  done
+
+let second_create ops = ignore (ok "second create" (ops.Fs.create "/r/other" 0o644) : int)
+let rename_in ops = ok "rename" (ops.Fs.rename "/r/f05" "/r/moved")
+
+(* ------------------------------------------------------------------ *)
 (* Exploration campaigns *)
 
 (* SIGKILL at sampled points inside index mutations: every recovered
@@ -296,10 +567,29 @@ let () =
           Alcotest.test_case "empty tree and first split" `Quick test_boundaries;
           Alcotest.test_case "build without pages" `Quick test_build_nospace;
         ] );
+      ( "node io",
+        [
+          Alcotest.test_case "1-entry lookup reads one line" `Quick test_small_node_read;
+          Alcotest.test_case "full node is one prefix access" `Quick test_full_node_one_access;
+          Alcotest.test_case "torn prefix falls back to scan" `Quick test_torn_prefix;
+          Alcotest.test_case "poison only inside the prefix" `Quick test_poison_prefix;
+        ] );
       ( "libfs",
         [
           Alcotest.test_case "rename across indexed dirs" `Quick test_rename_across_indexed_dirs;
           Alcotest.test_case "readdir order" `Quick test_readdir_order;
+        ] );
+      ( "growth",
+        [
+          Alcotest.test_case "sync handoffs reuse slots" `Quick
+            (test_handoffs_reuse_slots ?ring:None);
+          Alcotest.test_case "ring handoffs reuse slots" `Quick (test_handoffs_reuse_slots ~ring:8);
+          Alcotest.test_case "full directory grows blind" `Quick test_full_dir_grows_blind;
+          Alcotest.test_case "racing unlink keeps its slot" `Quick test_racing_unlink_create;
+          Alcotest.test_case "racing creates claim distinct slots" `Quick
+            (test_racing_claims ~entries:17 second_create);
+          Alcotest.test_case "create racing rename claim distinct slots" `Quick
+            (test_racing_claims ~entries:16 rename_in);
         ] );
       ( "explore",
         [
