@@ -477,20 +477,22 @@ let print_report r =
   Format.printf "%a@." Explore.pp r;
   r
 
-(* Explore generated scripts in turn, printing each report and stopping
-   at the first failure; the last report decides. *)
-let explore_scripts ~seed ~scripts ~ops explore =
-  let rng = Trio_util.Rng.create seed in
-  let rec go i r =
-    if i > scripts || Option.is_some r.Explore.failure then r
-    else begin
-      let script = Script.generate rng ~len:ops in
-      Printf.printf "script %d/%d: %s\n%!" i scripts (Script.to_string script);
+(* Explore scripts in turn, printing each report and stopping at the
+   first failure; the last report decides. *)
+let explore_scripts scripts explore =
+  let n = List.length scripts in
+  let rec go i r = function
+    | script :: rest when Option.is_none r.Explore.failure ->
+      Printf.printf "script %d/%d: %s\n%!" i n (Script.to_string script);
       Format.printf "  ";
-      go (i + 1) (print_report (explore script))
-    end
+      go (i + 1) (print_report (explore script)) rest
+    | _ -> r
   in
-  go 1 Explore.empty
+  go 1 Explore.empty scripts
+
+let generated ~seed ~scripts ~ops =
+  let rng = Trio_util.Rng.create seed in
+  List.init scripts (fun _ -> Script.generate rng ~len:ops)
 
 (* Exit 0 when the campaign held. *)
 let explorer_exit r = if Option.is_none r.Explore.failure then 0 else 1
@@ -521,11 +523,14 @@ let crashcheck_cmd =
         shrink = not no_shrink;
       }
     in
+    let scripts =
+      match parsed_script with Some ops -> [ ops ] | None -> generated ~seed ~scripts ~ops
+    in
     match (at, parsed_script) with
     | Some _, None ->
       Printf.eprintf "--at requires --script\n";
       exit 2
-    | Some crash_index, Some ops -> (
+    | Some crash_index, Some ops ->
       (* replay one specific crash state of one script *)
       let survivors =
         match Explore.parse_survivors survive with
@@ -535,67 +540,11 @@ let crashcheck_cmd =
           exit 2
       in
       Printf.printf "replaying: %s\n" (Script.to_string ops);
-      Printf.printf "crash after %d LibFS stores, surviving lines: %s\n" crash_index
-        (if survivors = [] then "none" else survive);
-      match Explore.check_state ops ~crash_index ~survivors with
-      | Ok () ->
-        Printf.printf "state is consistent: all completed ops durable, in-flight op atomic\n";
-        0
-      | Error d ->
-        Printf.printf "VIOLATION: %s\n" d;
-        1)
-    | None, _ when diff -> (
-      (* differential cross-FS fuzzing *)
-      match parsed_script with
-      | Some ops -> (
-        Printf.printf "diffing %d ops across: %s\n" (List.length ops)
-          (String.concat " " Differ.default_fses);
-        match Differ.diff ~shrink:(not no_shrink) ops with
-        | [] ->
-          Printf.printf "all file systems agree with the model\n";
-          0
-        | ds ->
-          List.iter (fun d -> Format.printf "%a@." Differ.pp_divergence d) ds;
-          1)
-      | None -> (
-        Printf.printf "differential campaign: %d scripts x %d ops across %d file systems\n"
-          scripts ops
-          (List.length Differ.default_fses);
-        match Differ.campaign ~rounds:scripts ~len:ops ~seed () with
-        | None ->
-          Printf.printf "no divergence found\n";
-          0
-        | Some (script, ds) ->
-          Printf.printf "divergence on: %s\n" (Script.to_string script);
-          List.iter (fun d -> Format.printf "%a@." Differ.pp_divergence d) ds;
-          1))
-    | None, _ ->
-      (* crash-state exploration *)
-      let rng = Trio_util.Rng.create seed in
-      let scripts_to_run =
-        match parsed_script with
-        | Some ops -> [ ops ]
-        | None -> List.init scripts (fun _ -> Script.generate rng ~len:ops)
-      in
-      let failed = ref false in
-      List.iteri
-        (fun i ops ->
-          if not !failed then begin
-            Printf.printf "script %d/%d: %s\n%!" (i + 1) (List.length scripts_to_run)
-              (Script.to_string ops);
-            let o = Explore.explore ~config ops in
-            Printf.printf
-              "  %d crash points, %d states checked, enumeration %s\n%!" o.Explore.crash_points
-              o.Explore.states
-              (if o.Explore.exhaustive then "exhaustive" else "sampled");
-            match o.Explore.counterexample with
-            | None -> ()
-            | Some cx ->
-              failed := true;
-              Format.printf "VIOLATION (minimized):@.%a" Explore.pp_counterexample cx
-          end)
-        scripts_to_run;
-      if !failed then 1 else 0
+      explorer_exit (print_report (Explore.replay ops ~crash_index ~survivors))
+    | None, _ when diff ->
+      Printf.printf "diffing across: %s\n" (String.concat " " Differ.default_fses);
+      explorer_exit (explore_scripts scripts (Differ.diff ~shrink:(not no_shrink)))
+    | None, _ -> explorer_exit (explore_scripts scripts (Explore.explore ~config))
   in
   let script_arg =
     Arg.(
@@ -666,7 +615,8 @@ let procfail_cmd =
     in
     if ring > 0 then
       Printf.printf "ring mode: victims mount with a depth-%d submission ring\n" ring;
-    explorer_exit (explore_scripts ~seed ~scripts ~ops (Explore.explore_proc_death ~config))
+    explorer_exit
+      (explore_scripts (generated ~seed ~scripts ~ops) (Explore.explore_proc_death ~config))
   in
   let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Script/sampling seed") in
   let scripts_arg =
@@ -704,9 +654,7 @@ let procfail_cmd =
 let verifycheck_cmd =
   let module Vdiff = Trio_check.Vdiff in
   let run seeds script_seed script_len =
-    let v = Vdiff.differential ~seeds ~script_seed ~script_len () in
-    Format.printf "%a@." Vdiff.pp_verdict v;
-    if v.Vdiff.vd_diffs = [] then 0 else 1
+    explorer_exit (print_report (Vdiff.differential ~seeds ~script_seed ~script_len ()))
   in
   let seeds_arg =
     Arg.(value & opt int 2 & info [ "seeds" ] ~doc:"Seeds per corruption-campaign script")
@@ -852,7 +800,7 @@ let snap_cmd =
   let run seed files scripts ops kill_points =
     if scripts > 0 then
       explorer_exit
-        (explore_scripts ~seed ~scripts ~ops
+        (explore_scripts (generated ~seed ~scripts ~ops)
            (Explore.explore_snapshot_commit ~config:{ Explore.sc_kill_points = kill_points }))
     else demo files
   in
@@ -1032,11 +980,11 @@ let mutate_cmd =
     let caught =
       List.filter
         (fun m ->
-          let v = Selftest.gate m in
+          let r, caught = Selftest.gate m in
           Printf.printf "%-16s %s  %s\n%!" (Mutation.name m)
-            (if v.Selftest.caught then "caught" else "NOT CAUGHT")
-            v.Selftest.detail;
-          v.Selftest.caught)
+            (if caught then "caught" else "NOT CAUGHT")
+            (Selftest.summary r);
+          caught)
         mutations
     in
     Printf.printf "%d/%d mutations caught\n" (List.length caught) (List.length mutations);

@@ -25,7 +25,17 @@ type op =
   | Op_touch of bool (* cost-only transfer; [true] = write.  Used by the
                         OdinFS baseline model, which shares this engine *)
 
-type request = { actor : int; addr : int; len : int; op : op; done_ : unit Sync.Ivar.t }
+(* A request's outcome travels back through its ivar: a fault raised by
+   the access (a lease revoked between submit and service faults with
+   the requester's actor id) belongs to the submitting fiber, not to the
+   delegation fiber that happened to perform it. *)
+type request = {
+  actor : int;
+  addr : int;
+  len : int;
+  op : op;
+  done_ : (unit, exn) result Sync.Ivar.t;
+}
 
 type t = {
   sched : Sched.t;
@@ -52,12 +62,20 @@ let worker t chan =
     while true do
       let req = Sync.Chan.recv chan in
       Sched.cpu_work service_cost;
-      (match req.op with
-      | Op_write (src, pos) -> Pmem.write_from t.pmem ~actor:req.actor ~addr:req.addr ~src ~pos ~len:req.len
-      | Op_read (dst, pos) ->
-        Pmem.read_into t.pmem ~actor:req.actor ~addr:req.addr ~dst ~pos ~len:req.len
-      | Op_touch write -> Pmem.touch t.pmem ~actor:req.actor ~addr:req.addr ~len:req.len ~write);
-      Sync.Ivar.fill req.done_ ()
+      let outcome =
+        try
+          Ok
+            (match req.op with
+            | Op_write (src, pos) ->
+              Pmem.write_from t.pmem ~actor:req.actor ~addr:req.addr ~src ~pos ~len:req.len
+            | Op_read (dst, pos) ->
+              Pmem.read_into t.pmem ~actor:req.actor ~addr:req.addr ~dst ~pos ~len:req.len
+            | Op_touch write -> Pmem.touch t.pmem ~actor:req.actor ~addr:req.addr ~len:req.len ~write)
+        with
+        | (Sched.Stopped | Sched.Killed) as e -> raise e
+        | e -> Error e
+      in
+      Sync.Ivar.fill req.done_ outcome
     done
   with Sync.Chan.Closed | Sched.Stopped -> ()
 
@@ -102,24 +120,25 @@ let submit t ~actor ~addr ~len ~op =
   Sync.Chan.send t.chans.(node) { actor; addr; len; op; done_ };
   done_
 
+(* Wait for every run of one call, then re-raise the first run's fault
+   in the caller, as a direct access would have raised it. *)
+let await ivars =
+  let outcomes = List.map Sync.Ivar.read ivars in
+  List.iter (function Ok () -> () | Error e -> raise e) outcomes
+
 (* Perform a list of contiguous runs (addr, buffer offset, length) in
    parallel across delegation fibers, waiting for all completions. *)
 let run_all t ~actor ~write ~buf runs =
-  let ivars =
-    List.map
-      (fun (addr, pos, len) ->
-        let op = if write then Op_write (buf, pos) else Op_read (buf, pos) in
-        submit t ~actor ~addr ~len ~op)
-      runs
-  in
-  List.iter Sync.Ivar.read ivars
+  await
+    (List.map
+       (fun (addr, pos, len) ->
+         let op = if write then Op_write (buf, pos) else Op_read (buf, pos) in
+         submit t ~actor ~addr ~len ~op)
+       runs)
 
 (* Cost-only parallel transfer over explicit (addr, len) runs. *)
 let touch_all t ~actor ~write runs =
-  let ivars =
-    List.map (fun (addr, len) -> submit t ~actor ~addr ~len ~op:(Op_touch write)) runs
-  in
-  List.iter Sync.Ivar.read ivars
+  await (List.map (fun (addr, len) -> submit t ~actor ~addr ~len ~op:(Op_touch write)) runs)
 
 let request_count t = t.requests
 let stripe_pages t = t.stripe_pages

@@ -1364,9 +1364,18 @@ let stat_of_inode (inode : Layout.inode) =
     st_ctime = float_of_int inode.Layout.ctime;
   }
 
+(* Under [unmap_after_write], a name op releases its parent [d] on
+   every exit, its errors included: a failed op must not keep the
+   directory write-mapped until a forced lease revocation. *)
+let releasing_parent t (d : dir_state) f =
+  let r = f () in
+  if t.unmap_after_write then unmap t d.d_ino;
+  r
+
 let op_create t path mode =
   with_retry t (fun () ->
       let* d, name = resolve_parent t path in
+      releasing_parent t d @@ fun () ->
       let* r = create_entry t d name ~ftype:Reg ~mode in
       (* the file is known empty: construct its auxiliary state directly
          rather than re-reading the dentry we just wrote *)
@@ -1388,7 +1397,6 @@ let op_create t path mode =
       Hashtbl.replace t.files r.e_ino f;
       let fd = alloc_fd t in
       Hashtbl.replace t.fds fd { fd_ino = r.e_ino; fd_addr = r.e_addr; fd_access = read_write };
-      if t.unmap_after_write then unmap t d.d_ino;
       Ok fd)
 
 (* Open [name] in the resolved parent [d].  The file is mapped once, with
@@ -1462,6 +1470,7 @@ let op_truncate t path size =
 let op_unlink t path =
   with_retry t (fun () ->
       let* d, name = resolve_parent t path in
+      releasing_parent t d @@ fun () ->
       let* () = ensure_dir_writable t d in
       ensure_resolvable t d;
       let stripe = Htbl.stripe_of_key d.d_names name in
@@ -1495,19 +1504,19 @@ let op_unlink t path =
            | None -> ()
          end);
         Hashtbl.remove t.files r.e_ino;
-        if t.unmap_after_write then unmap t d.d_ino;
         Ok ())
 
 let op_mkdir t path mode =
   with_retry t (fun () ->
       let* d, name = resolve_parent t path in
+      releasing_parent t d @@ fun () ->
       let* _r = create_entry t d name ~ftype:Dir ~mode in
-      if t.unmap_after_write then unmap t d.d_ino;
       Ok ())
 
 let op_rmdir t path =
   with_retry t (fun () ->
       let* d, name = resolve_parent t path in
+      releasing_parent t d @@ fun () ->
       let* () = ensure_dir_writable t d in
       ensure_resolvable t d;
       let stripe = Htbl.stripe_of_key d.d_names name in
@@ -1551,7 +1560,6 @@ let op_rmdir t path =
            if pages <> [] then ignore (Controller.free_pages t.ctl ~proc:t.proc ~pages)
          end);
         drop_aux t r.e_ino;
-        if t.unmap_after_write then unmap t d.d_ino;
         Ok ())
 
 (* Readdir ordering contract (README): entries come back in ascending

@@ -8,8 +8,10 @@
    semantics divergence: either this reproduction's baseline model or
    ArckFS itself mishandles the sequence.
 
-   Divergences are shrunk the same way crash counterexamples are: drop
-   ops and shrink sizes while the same file system still diverges. *)
+   The result is one {!Explore.report} with one state per file system:
+   a divergence is a [Model] failure whose detail names the file system,
+   shrunk by {!Explore.shrink} while that file system still diverges,
+   and every diverging file system is counted by name. *)
 
 module Rig = Trio_workloads.Rig
 module Vfs = Trio_core.Vfs
@@ -17,18 +19,6 @@ module Vfs = Trio_core.Vfs
 (* The nine evaluated file systems: ArckFS plus the eight baselines. *)
 let default_fses =
   [ "arckfs"; "ext4"; "ext4-raid0"; "pmfs"; "nova"; "winefs"; "odinfs"; "splitfs"; "strata" ]
-
-type divergence = {
-  d_fs : string;
-  d_ops : Script.op list;
-  d_detail : string;
-}
-
-let pp_divergence ppf d =
-  Fmt.pf ppf "fs:       %s@." d.d_fs;
-  Fmt.pf ppf "script:   %s@." (Script.to_string d.d_ops);
-  Fmt.pf ppf "diff:     %s@." d.d_detail;
-  Fmt.pf ppf "replay:   trioctl crashcheck --diff --script %S@." (Script.to_string d.d_ops)
 
 (* Run one script through one file system in a fresh world; [Ok ()] when
    every op and the final durable state agree with the model. *)
@@ -41,47 +31,42 @@ let run_one fs_name ops =
       | Error _ as e -> e
       | Ok () -> Script.check_model fs model)
 
-let shrink_divergence ?(budget = 64) d =
-  let budget = ref budget in
-  let rec go d =
-    if !budget <= 0 then d
-    else
-      let next =
-        List.find_map
-          (fun candidate ->
-            if !budget <= 0 || candidate = [] then None
-            else begin
-              decr budget;
-              match run_one d.d_fs candidate with
-              | Ok () -> None
-              | Error detail -> Some { d with d_ops = candidate; d_detail = detail }
-            end)
-          (Script.shrink_candidates d.d_ops)
-      in
-      match next with Some d' -> go d' | None -> d
+(* One file system's run as a one-state report; a failure names the
+   file system in its detail and in a count, and ends with the command
+   that replays it. *)
+let diff_one fs_name ops =
+  let r =
+    Explore.campaign ~ops ~counts:[] ~points:1
+      [
+        ( None,
+          fun () ->
+            match run_one fs_name ops with
+            | Ok () -> Explore.empty
+            | Error d -> Explore.fail Model "%s" d );
+      ]
   in
-  go d
+  match r.failure with
+  | None -> r
+  | Some cx ->
+    Explore.add
+      (Explore.tally [ (fs_name ^ " diverged", 1) ])
+      {
+        r with
+        failure =
+          Some
+            {
+              cx with
+              cx_detail =
+                Printf.sprintf "%s: %s\nreplay:   trioctl crashcheck --diff --script %S" fs_name
+                  cx.cx_detail (Script.to_string ops);
+            };
+      }
 
-(* Diff one script across [fses]; every diverging file system is
-   reported (shrunk when [shrink]). *)
+(* Diff one script across [fses]; every file system runs, the first
+   divergence (shrunk when [shrink]) is the report's failure. *)
 let diff ?(fses = default_fses) ?(shrink = true) ops =
-  List.filter_map
-    (fun fs_name ->
-      match run_one fs_name ops with
-      | Ok () -> None
-      | Error detail ->
-        let d = { d_fs = fs_name; d_ops = ops; d_detail = detail } in
-        Some (if shrink then shrink_divergence d else d))
-    fses
-
-(* Seeded campaign: [rounds] random scripts of length [len] through all
-   file systems; first divergence wins. *)
-let campaign ?(fses = default_fses) ?(rounds = 5) ?(len = 12) ~seed () =
-  let rng = Trio_util.Rng.create seed in
-  let rec go round =
-    if round >= rounds then None
-    else
-      let ops = Script.generate rng ~len in
-      match diff ~fses ops with [] -> go (round + 1) | ds -> Some (ops, ds)
-  in
-  go 0
+  List.fold_left
+    (fun acc fs_name ->
+      let r = diff_one fs_name ops in
+      Explore.add acc (if shrink then Explore.shrink (diff_one fs_name) r else r))
+    Explore.empty fses

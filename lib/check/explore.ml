@@ -1,8 +1,17 @@
-(* Systematic crash-state exploration (the correctness backbone behind
-   the paper's §4.4/§5 claims).
+(* The checkers behind the paper's §4.4/§5 claims, on one skeleton.
 
-   Instead of sampling one random crash per run, the engine enumerates
-   the crash-state space of an op script deterministically:
+   Every checker in this library answers with one {!report}: the
+   injection points its victim crosses, the states it checked, named
+   per-campaign counts and the first failing state as a minimal
+   {!counterexample}.  States run through {!campaign}, which stops at
+   the first failure and turns an escaping exception into an [Uncaught]
+   failure at that state's point ({!guarded} does the same for a check
+   with no states of its own); one {!shrink} minimizes a failing script
+   for any of them.
+
+   The first checker is systematic crash-state exploration.  Instead of
+   sampling one random crash per run, it enumerates the crash-state
+   space of an op script deterministically:
 
    1. RECORD — run the script once on a recording device
       ({!Trio_nvm.Pmem.set_recording}), yielding the ordered
@@ -39,6 +48,11 @@ module Mmu = Trio_core.Mmu
 module Controller = Trio_core.Controller
 module Libfs = Arckfs.Libfs
 module Rng = Trio_util.Rng
+module Fs = Trio_core.Fs_intf
+module Scrub = Trio_core.Scrub
+module Dirindex = Trio_core.Dirindex
+module Layout = Trio_core.Layout
+module Stats = Trio_sim.Stats
 
 type config = {
   exhaustive_lines : int;
@@ -73,22 +87,17 @@ type kind =
   | Accounting (* page accounting unbalanced, or pages leaked, after a GC *)
   | Certification (* a recovered file fails Full verification *)
   | Root_loss (* no valid snapshot root, or recovery did not mount the right one *)
+  | Divergence (* full and incremental verification disagree *)
+  | Rejection (* the verifier rejected a file at a sharing point *)
   | Vacuous (* the campaign never reached the interaction it claims to test *)
   | Uncaught (* an exception escaped the state *)
 
 type counterexample = {
   cx_kind : kind;
   cx_ops : Script.op list;
-  cx_point : point option; (* None: diverged with no injection at all *)
+  cx_point : point option; (* None: failed with no injection at all *)
   cx_survivors : (int * int) list; (* (page, line) lines that survived the power failure *)
   cx_detail : string;
-}
-
-type outcome = {
-  crash_points : int; (* crash indices explored (N + 1 when complete) *)
-  states : int; (* (index, surviving subset) states checked *)
-  exhaustive : bool; (* every crash point got its full subset enumeration *)
-  counterexample : counterexample option;
 }
 
 let pp_survivors ppf survivors =
@@ -103,6 +112,8 @@ let kind_name = function
   | Accounting -> "accounting"
   | Certification -> "certification"
   | Root_loss -> "root loss"
+  | Divergence -> "divergence"
+  | Rejection -> "rejection"
   | Vacuous -> "vacuous"
   | Uncaught -> "uncaught exception"
 
@@ -147,6 +158,118 @@ let spread ~points ~count =
   else if points <= count then List.init points Fun.id
   else if count = 1 then [ points / 2 ]
   else List.sort_uniq compare (List.init count (fun i -> i * (points - 1) / (count - 1)))
+
+(* ------------------------------------------------------------------ *)
+(* Reports and the campaign skeleton
+
+   A campaign counts the injection points its victim crosses, checks
+   each sampled state in a fresh world, sums the per-state tallies into
+   one {!report}, and stops at the first failure.  A checker supplies
+   only its states: where each is injected and how it is judged. *)
+
+type report = {
+  points : int; (* injection points the victim crosses end to end *)
+  states : int; (* sampled states checked *)
+  counts : (string * int) list; (* named tallies, in declaration order *)
+  failure : counterexample option; (* the first failing state *)
+}
+
+let empty = { points = 0; states = 0; counts = []; failure = None }
+let count r key = Option.value ~default:0 (List.assoc_opt key r.counts)
+
+let pp ppf r =
+  let pp_counts ppf = function
+    | [] -> ()
+    | counts -> Fmt.(pf ppf "  %a" (list ~sep:(any ", ") (pair ~sep:(any " ") string int)) counts)
+  in
+  Fmt.pf ppf "points %d  states %d%a@.%s" r.points r.states pp_counts r.counts
+    (match r.failure with
+    | None -> "the post-condition held in every sampled state"
+    | Some cx -> Fmt.str "FAILED:@.%a" pp_counterexample cx)
+
+(* Sum two tallies; the earlier failure wins. *)
+let add a b =
+  let keys = a.counts @ List.filter (fun (k, _) -> not (List.mem_assoc k a.counts)) b.counts in
+  {
+    points = a.points + b.points;
+    states = a.states + b.states;
+    counts = List.map (fun (k, _) -> (k, count a k + count b k)) keys;
+    failure = (if Option.is_some a.failure then a.failure else b.failure);
+  }
+
+let tally counts = { empty with counts }
+
+(* A failing state; the skeleton fills in the script and the point. *)
+let fail kind fmt =
+  Printf.ksprintf
+    (fun d ->
+      {
+        empty with
+        failure =
+          Some { cx_kind = kind; cx_ops = []; cx_point = None; cx_survivors = []; cx_detail = d };
+      })
+    fmt
+
+(* Sequence post-condition steps: stop at the first failing one. *)
+let ( let& ) r k = if Option.is_some r.failure then r else add r (k ())
+
+let located ops point r =
+  { r with failure = Option.map (fun cx -> { cx with cx_ops = ops; cx_point = point }) r.failure }
+
+(* Run one check; an exception escaping it is its [Uncaught] failure. *)
+let guarded check =
+  try check () with exn -> fail Uncaught "uncaught exception: %s" (Printexc.to_string exn)
+
+(* The skeleton.  [states] pairs each sampled point with its check;
+   [vacuous] names a count that must end up nonzero, or the campaign
+   never exercised what it claims to. *)
+let campaign ?(ops = []) ?vacuous ~counts ~points states =
+  let r =
+    List.fold_left
+      (fun r (point, check) ->
+        if Option.is_some r.failure then r
+        else add r { (located ops point (guarded check)) with states = 1 })
+      { empty with points; counts = List.map (fun k -> (k, 0)) counts }
+      states
+  in
+  match vacuous with
+  | Some key when Option.is_none r.failure && r.states > 0 && count r key = 0 ->
+    add r
+      (located ops None
+         (fail Vacuous "no sampled state counted any %s: the campaign is not exercising the \
+                        interaction it claims to" key))
+  | _ -> r
+
+let caught ~expect r =
+  match r.failure with Some cx -> cx.cx_kind = expect | None -> false
+
+(* A campaign's self-test: with the [arm] mutation in place the
+   campaign must fail, and with exactly the [expect]ed kind. *)
+let self_test ~arm ~expect run =
+  let r = Trio_util.Mutation.armed arm run in
+  (r, caught ~expect r)
+
+(* The one shrinker: keep replacing the failing script with the first
+   {!Script.shrink_candidates} candidate that [run] still fails the same
+   way, until none does or [budget] runs are spent.  The report keeps
+   its own tallies; only its counterexample shrinks. *)
+let shrink ?(budget = 64) run r =
+  let budget = ref budget in
+  let rec go cx =
+    let still_fails candidate =
+      if !budget <= 0 || candidate = [] then None
+      else begin
+        decr budget;
+        match (run candidate).failure with
+        | Some cx' when cx'.cx_kind = cx.cx_kind -> Some cx'
+        | _ -> None
+      end
+    in
+    match List.find_map still_fails (Script.shrink_candidates cx.cx_ops) with
+    | Some cx' -> go cx'
+    | None -> cx
+  in
+  { r with failure = Option.map go r.failure }
 
 (* ------------------------------------------------------------------ *)
 (* Worlds *)
@@ -347,265 +470,119 @@ let check_state ?(on_precrash = fun ~pmem:_ -> Ok ()) ops ~crash_index ~survivor
 
 (* Replay fidelity: the device the re-run reconstructed must be
    bit-identical — content and unflushed-line set — to the image
-   replayed from the recorded event log. *)
-let replay_fidelity recording ops ~crash_index =
+   replayed from the recorded event log.  Checked just before the power
+   failure of the state in which every unflushed line survives. *)
+let replay_fidelity recording ~crash_index ~pmem =
   let img = image_at recording ~crash_index in
-  let check ~pmem =
-    let img_dirty = Pmem.Replay.dirty img in
-    let dev_dirty = Pmem.dirty_line_list pmem in
-    if img_dirty <> dev_dirty then
-      Error
-        (Printf.sprintf "replay divergence at crash index %d: %d replayed dirty lines vs %d on device"
-           crash_index (List.length img_dirty) (List.length dev_dirty))
-    else
-      List.fold_left
-        (fun acc pg ->
-          Result.bind acc (fun () ->
-              if Bytes.equal (Pmem.Replay.page img pg) (Pmem.peek_page pmem pg) then Ok ()
-              else Error (Printf.sprintf "replay divergence at crash index %d: page %d bytes differ" crash_index pg)))
-        (Ok ()) (Pmem.Replay.pages img)
-  in
-  (* survivors = all: the pre-crash comparison is the point; the
-     post-crash world is checked like any complete run *)
-  check_state ~on_precrash:check ops ~crash_index ~survivors:(Pmem.Replay.dirty img)
+  let img_dirty = Pmem.Replay.dirty img in
+  let dev_dirty = Pmem.dirty_line_list pmem in
+  if img_dirty <> dev_dirty then
+    Error
+      (Printf.sprintf "replay divergence at crash index %d: %d replayed dirty lines vs %d on device"
+         crash_index (List.length img_dirty) (List.length dev_dirty))
+  else
+    List.fold_left
+      (fun acc pg ->
+        Result.bind acc (fun () ->
+            if Bytes.equal (Pmem.Replay.page img pg) (Pmem.peek_page pmem pg) then Ok ()
+            else Error (Printf.sprintf "replay divergence at crash index %d: page %d bytes differ" crash_index pg)))
+      (Ok ()) (Pmem.Replay.pages img)
+
+(* One store-crash state as a report. *)
+let store_state ?on_precrash ops ~crash_index ~survivors =
+  match check_state ?on_precrash ops ~crash_index ~survivors with
+  | Ok () -> empty
+  | Error d ->
+    let r = fail Model "%s" d in
+    { r with failure = Option.map (fun cx -> { cx with cx_survivors = survivors }) r.failure }
+
+(* Replay one crash state of one script, as [crashcheck --at] does. *)
+let replay ops ~crash_index ~survivors =
+  campaign ~ops ~counts:[] ~points:1
+    [ (Some (Store crash_index), fun () -> store_state ops ~crash_index ~survivors) ]
 
 (* ------------------------------------------------------------------ *)
 (* Subset enumeration *)
 
+(* The surviving subsets checked at one crash index, and the position of
+   the one in which every unflushed line survives. *)
 let subsets_of cfg ~crash_index dirty =
   let k = List.length dirty in
   let arr = Array.of_list dirty in
   if k <= cfg.exhaustive_lines then
     (* all 2^k subsets, mask order: [] first, everything-survives last *)
-    (true, List.init (1 lsl k) (fun mask ->
-         List.filteri (fun i _ -> mask land (1 lsl i) <> 0) (Array.to_list arr)))
+    ( true,
+      (1 lsl k) - 1,
+      List.init (1 lsl k) (fun mask ->
+          List.filteri (fun i _ -> mask land (1 lsl i) <> 0) (Array.to_list arr)) )
   else begin
     let rng = Rng.create (cfg.seed + (crash_index * 2654435761)) in
     let sample () = List.filter (fun _ -> Rng.bool rng) dirty in
     let sampled = List.init (max 0 (cfg.samples_per_point - 2)) (fun _ -> sample ()) in
-    (false, ([] :: dirty :: sampled))
+    (false, 1, [] :: dirty :: sampled)
   end
 
 (* ------------------------------------------------------------------ *)
-(* The engine *)
+(* The engine
+
+   Counts: [replayed] states also passed the replay-fidelity check (on
+   an evenly spread sample of at most 9 crash indices); [sampled] crash
+   points had their surviving subsets sampled rather than enumerated;
+   [unchecked] states fell beyond the [max_states] budget.  The
+   enumeration was exhaustive when the last two are 0. *)
 
 let explore_once cfg ops =
-  let recording = record ops in
-  match recording.rec_divergence with
-  | Some d ->
-    {
-      crash_points = 0;
-      states = 0;
-      exhaustive = false;
-      counterexample =
-        Some { cx_kind = Model; cx_ops = ops; cx_point = None; cx_survivors = []; cx_detail = d };
-    }
-  | None ->
+  match record ops with
+  | exception exn -> located ops None (guarded (fun () -> raise exn))
+  | { rec_divergence = Some d; _ } -> located ops None (fail Model "%s" d)
+  | recording ->
     let n = recording.rec_n_stores in
     let dirty_sets = dirty_sets_of recording in
-    let states = ref 0 in
-    let exhaustive = ref true in
-    let failure = ref None in
-    (* replay-fidelity pass on a bounded, evenly spread index sample *)
-    if cfg.check_replay then begin
-      List.iter
-        (fun i ->
-          if !failure = None then
-            match replay_fidelity recording ops ~crash_index:i with
-            | Ok () -> ()
-            | Error d ->
-              failure :=
-                Some
-                  {
-                    cx_kind = Model;
-                    cx_ops = ops;
-                    cx_point = Some (Store i);
-                    cx_survivors = dirty_sets.(i);
-                    cx_detail = d;
-                  })
-        (spread ~points:(n + 1) ~count:9)
-    end;
-    let i = ref 0 in
-    while !failure = None && !i <= n && !states < cfg.max_states do
-      let idx = !i in
-      let was_exhaustive, subsets = subsets_of cfg ~crash_index:idx dirty_sets.(idx) in
-      if not was_exhaustive then exhaustive := false;
-      List.iter
-        (fun survivors ->
-          if !failure = None && !states < cfg.max_states then begin
-            incr states;
-            match check_state ops ~crash_index:idx ~survivors with
-            | Ok () -> ()
-            | Error d ->
-              failure :=
-                Some
-                  {
-                    cx_kind = Model;
-                    cx_ops = ops;
-                    cx_point = Some (Store idx);
-                    cx_survivors = survivors;
-                    cx_detail = d;
-                  }
-          end)
-        subsets;
-      incr i
-    done;
-    if !i <= n && !failure = None then exhaustive := false;
-    {
-      crash_points = !i;
-      states = !states;
-      exhaustive = !exhaustive;
-      counterexample = !failure;
-    }
-
-(* Greedy minimization: keep applying the first shrink candidate that
-   still fails, until none does (or the budget runs out). *)
-let shrink_counterexample cfg cx =
-  let budget = ref cfg.shrink_budget in
-  let cfg' = { cfg with shrink = false; check_replay = false } in
-  let rec go cx =
-    if !budget <= 0 then cx
-    else
-      let next =
-        List.find_map
-          (fun candidate ->
-            if !budget <= 0 || candidate = [] then None
-            else begin
-              decr budget;
-              (explore_once cfg' candidate).counterexample
-            end)
-          (Script.shrink_candidates cx.cx_ops)
-      in
-      match next with Some cx' -> go cx' | None -> cx
-  in
-  go cx
+    let replayed = if cfg.check_replay then spread ~points:(n + 1) ~count:9 else [] in
+    let sampled = ref 0 in
+    let states =
+      List.concat
+        (List.init (n + 1) (fun i ->
+             let exhaustive, all_survive, subsets =
+               subsets_of cfg ~crash_index:i dirty_sets.(i)
+             in
+             if not exhaustive then incr sampled;
+             List.mapi
+               (fun j survivors ->
+                 let fidelity = j = all_survive && List.mem i replayed in
+                 ( Some (Store i),
+                   fun () ->
+                     if fidelity then
+                       add
+                         (tally [ ("replayed", 1) ])
+                         (store_state ops ~crash_index:i ~survivors
+                            ~on_precrash:(replay_fidelity recording ~crash_index:i))
+                     else store_state ops ~crash_index:i ~survivors ))
+               subsets))
+    in
+    let checked = List.filteri (fun k _ -> k < cfg.max_states) states in
+    add
+      (campaign ~ops ~counts:[ "replayed"; "sampled"; "unchecked" ] ~points:(n + 1) checked)
+      (tally [ ("sampled", !sampled); ("unchecked", List.length states - List.length checked) ])
 
 let explore ?(config = default_config) ops =
-  let outcome = explore_once config ops in
-  match outcome.counterexample with
-  | Some cx when config.shrink ->
-    { outcome with counterexample = Some (shrink_counterexample config cx) }
-  | _ -> outcome
+  let r = explore_once config ops in
+  if config.shrink then
+    shrink ~budget:config.shrink_budget (explore_once { config with check_replay = false }) r
+  else r
+
+let exhaustive r = count r "sampled" = 0 && count r "unchecked" = 0
 
 (* ------------------------------------------------------------------ *)
 (* Kill- and fault-point campaigns
 
    The engine above checks the model against power failures.  The
    campaigns below check what the paper's §4 promises when a LibFS dies,
-   wedges or meets a failing medium, and they share one skeleton: count
-   the injection points the victim crosses, {!spread} the sampled
-   states evenly across them, check every state in a fresh world, sum
-   the per-state tallies into one {!report}, and stop at the first
-   failure.  A campaign supplies only its world set-up plus victim, its
+   wedges or meets a failing medium: they count the injection points
+   the victim crosses and {!spread} the sampled states evenly across
+   them.  A campaign supplies only its world set-up plus victim, its
    injection, and its post-condition. *)
 
-module Fs = Trio_core.Fs_intf
-module Scrub = Trio_core.Scrub
-module Dirindex = Trio_core.Dirindex
-module Layout = Trio_core.Layout
-module Stats = Trio_sim.Stats
-
-type report = {
-  points : int; (* injection points the victim crosses end to end *)
-  states : int; (* sampled states checked *)
-  escalated : int; (* watchdog teardowns *)
-  unverified : int; (* files the teardown pushed through the verifier gate *)
-  reclaimed : int; (* pages the GC swept *)
-  leaked : int; (* pages still dead-owned after a GC (must be 0) *)
-  counts : (string * int) list; (* campaign-specific tallies, in declaration order *)
-  failure : counterexample option; (* the first failing state *)
-}
-
-let empty =
-  {
-    points = 0;
-    states = 0;
-    escalated = 0;
-    unverified = 0;
-    reclaimed = 0;
-    leaked = 0;
-    counts = [];
-    failure = None;
-  }
-
-let count r key = Option.value ~default:0 (List.assoc_opt key r.counts)
-
-let pp ppf r =
-  Fmt.pf ppf
-    "points %d  states %d  %a@.reclaim: escalated %d  unverified %d  reclaimed %d  leaked %d@.%s"
-    r.points r.states
-    Fmt.(list ~sep:(any ", ") (fun ppf (k, v) -> pf ppf "%s %d" k v))
-    r.counts r.escalated r.unverified r.reclaimed r.leaked
-    (match r.failure with
-    | None -> "the post-condition held in every sampled state"
-    | Some cx -> Fmt.str "FAILED:@.%a" pp_counterexample cx)
-
-(* Sum two tallies; the earlier failure wins. *)
-let add a b =
-  let keys = a.counts @ List.filter (fun (k, _) -> not (List.mem_assoc k a.counts)) b.counts in
-  {
-    points = a.points + b.points;
-    states = a.states + b.states;
-    escalated = a.escalated + b.escalated;
-    unverified = a.unverified + b.unverified;
-    reclaimed = a.reclaimed + b.reclaimed;
-    leaked = a.leaked + b.leaked;
-    counts = List.map (fun (k, _) -> (k, count a k + count b k)) keys;
-    failure = (if Option.is_some a.failure then a.failure else b.failure);
-  }
-
-let tally counts = { empty with counts }
-
-(* A failing state; the skeleton fills in the script and the point. *)
-let fail kind fmt =
-  Printf.ksprintf
-    (fun d ->
-      {
-        empty with
-        failure =
-          Some { cx_kind = kind; cx_ops = []; cx_point = None; cx_survivors = []; cx_detail = d };
-      })
-    fmt
-
-(* Sequence post-condition steps: stop at the first failing one. *)
-let ( let& ) r k = if Option.is_some r.failure then r else add r (k ())
-
-let located ops point r =
-  { r with failure = Option.map (fun cx -> { cx with cx_ops = ops; cx_point = point }) r.failure }
-
-(* The skeleton.  [states] pairs each sampled point with its check;
-   [vacuous] names a count that must end up nonzero, or the campaign
-   never exercised what it claims to. *)
-let campaign ?(ops = []) ?vacuous ~counts ~points states =
-  let r =
-    List.fold_left
-      (fun r (point, check) ->
-        if Option.is_some r.failure then r
-        else
-          let s =
-            try check ()
-            with exn -> fail Uncaught "uncaught exception: %s" (Printexc.to_string exn)
-          in
-          add r { (located ops (Some point) s) with states = 1 })
-      { empty with points; counts = List.map (fun k -> (k, 0)) counts }
-      states
-  in
-  match vacuous with
-  | Some key when Option.is_none r.failure && r.states > 0 && count r key = 0 ->
-    add r
-      (located ops None
-         (fail Vacuous "no sampled state counted any %s: the campaign is not exercising the \
-                        interaction it claims to" key))
-  | _ -> r
-
-let caught ~expect r =
-  match r.failure with Some cx -> cx.cx_kind = expect | None -> false
-
-(* A campaign's self-test: with the [arm] mutation in place the
-   campaign must fail, and with exactly the [expect]ed kind. *)
-let self_test ~arm ~expect run =
-  let r = Trio_util.Mutation.armed arm run in
-  (r, caught ~expect r)
 
 (* Every path answers Ok or a clean errno — reads, and writes that must
    degrade to EROFS/EIO — never an exception. *)
@@ -717,7 +694,7 @@ let explore_faults ?(config = default_fault_config) ops =
     ~counts:[ "transient"; "stuck"; "poison-injected"; "repaired"; "migrated"; "quarantined" ]
     (List.map
        (fun idx ->
-         ( Store idx,
+         ( Some (Store idx),
            fun () ->
              check_faulted_state config
                ~poison_candidates:(Pmem.Replay.pages (image_at recording ~crash_index:idx))
@@ -756,14 +733,19 @@ let at_point ~setup ~arm k =
       Sched.disarm sched;
       k sched w)
 
+(* What the victim's death cost: watchdog teardowns, files the teardown
+   pushed through the verifier gate, pages the GC swept, and pages still
+   dead-owned after a GC (must be 0). *)
+let reclaim_counts = [ "escalated"; "unverified"; "reclaimed"; "leaked" ]
+
 (* A kill campaign: [kills] SIGKILL states and [hangs] wedge states
    spread over the points the victim crosses, each judged by [post]. *)
 let kill_campaign ?ops ?vacuous ~counts ~kills ?(hangs = 0) ~setup post =
   let points =
     at_point ~setup ~arm:Sched.arm_count (fun sched _ -> Sched.kill_points_crossed sched)
   in
-  let state point arm = (point, fun () -> at_point ~setup ~arm (fun _ w -> post point w)) in
-  campaign ?ops ?vacuous ~counts ~points
+  let state point arm = (Some point, fun () -> at_point ~setup ~arm (fun _ w -> post point w)) in
+  campaign ?ops ?vacuous ~counts:(counts @ reclaim_counts) ~points
     (List.map (fun i -> state (Kill i) (Sched.arm_kill ~after:i)) (spread ~points ~count:kills)
     @ List.map (fun i -> state (Hang i) (Sched.arm_hang ~after:i)) (spread ~points ~count:hangs))
 
@@ -771,14 +753,12 @@ let kill_campaign ?ops ?vacuous ~counts ~kills ?(hangs = 0) ~setup post =
 let gc_checked ctl ~after =
   let gc = Controller.gc_once ctl in
   if gc.Controller.gc_invariant_ok && gc.Controller.gc_leaked = 0 then
-    { empty with reclaimed = gc.Controller.gc_reclaimed_pages }
+    tally [ ("reclaimed", gc.Controller.gc_reclaimed_pages) ]
   else
-    {
+    add
+      (tally [ ("leaked", gc.Controller.gc_leaked) ])
       (fail Accounting "page accounting broken after %s GC: %s" after
          (Fmt.str "%a" Controller.pp_gc_report gc))
-      with
-      leaked = gc.Controller.gc_leaked;
-    }
 
 (* The §4 containment check every process-death campaign shares: the
    watchdog escalates the victim (proc 1), the teardown GC balances the
@@ -795,7 +775,7 @@ let reclaim ?(model = Script.model_create ()) ?(extra = fun _ -> empty) ctl =
       (String.concat ";" (List.map string_of_int escalated))
   else
     let escalated = List.length wd.Controller.wd_escalated in
-    let& () = { empty with escalated; unverified = wd.Controller.wd_unverified } in
+    let& () = tally [ ("escalated", escalated); ("unverified", wd.Controller.wd_unverified) ] in
     let& () = gc_checked ctl ~after:"teardown" in
     let fs2 = Libfs.ops (Libfs.mount ~ctl ~proc:2 ~cred ()) in
     probe fs2 model;
@@ -1042,29 +1022,43 @@ let explore_dir_index ?(config = default_dir_config) () =
           ("splits", int_of_float (Stats.get (Controller.stats ctl) "verify.dindex.splits"));
         ])
 
-(* The verifier's own self-test for this plane: with index maintenance
-   silently dropped (what a buggy or malicious LibFS would do), I5 must
-   flag the divergence at the sharing point.  Returns [true] when it
-   was caught. *)
-let dir_index_mutation_caught () =
+(* The verifier's own check of this plane: a victim that churns the
+   root directory across two sharing points, judged by the verdicts the
+   controller recorded there.  An honest LibFS is never rejected.  With
+   index maintenance silently dropped ({!Trio_util.Mutation.Skip_index},
+   what a buggy or malicious LibFS would do), the tree the re-index path
+   builds at the first unlink goes stale at once, and I5 must reject the
+   directory at the next sharing point.  Vacuous unless the directory
+   was indexed. *)
+let audit_dir_index () =
   with_dir_capacity @@ fun () ->
-  in_world (fun ~sched ~pmem ~mmu ->
-      let ctl = Controller.create ~sched ~pmem ~mmu () in
-      let libfs = Libfs.mount ~ctl ~proc:1 ~cred () in
-      let fs = Libfs.ops libfs in
-      (* honest prefix: the root directory gains a live, verified tree *)
-      for i = 0 to 5 do
-        ignore (Fs.write_file fs (Printf.sprintf "/m%d" i) "honest" : (unit, _) result)
-      done;
-      Libfs.unmap_everything libfs;
-      if Controller.corruption_events ctl <> [] then
-        failwith "dir_index_mutation_caught: honest prefix was flagged";
-      (* sabotage: dentries keep landing, the tree stops being maintained *)
-      Trio_util.Mutation.armed Skip_index (fun () ->
-          for i = 6 to 11 do
-            ignore (Fs.write_file fs (Printf.sprintf "/m%d" i) "stale" : (unit, _) result)
-          done;
-          Libfs.unmap_everything libfs);
-      List.exists
-        (fun (_, _, vs) -> List.exists (fun v -> v.Trio_core.Verifier.check = `I5) vs)
-        (Controller.corruption_events ctl))
+  campaign ~counts:[ "indexed" ] ~vacuous:"indexed" ~points:1
+    [
+      ( None,
+        fun () ->
+          in_world (fun ~sched ~pmem ~mmu ->
+              let ctl = Controller.create ~sched ~pmem ~mmu () in
+              let libfs = Libfs.mount ~ctl ~proc:1 ~cred () in
+              let fs = Libfs.ops libfs in
+              let create i =
+                ignore (Fs.write_file fs (Printf.sprintf "/m%d" i) "m" : (unit, _) result)
+              in
+              List.iter create [ 0; 1; 2; 3; 4; 5 ];
+              Libfs.unmap_everything libfs;
+              ignore (fs.Fs.unlink "/m0" : (unit, _) result);
+              List.iter create [ 6; 7; 8; 9; 10; 11 ];
+              let root () =
+                Layout.read_dindex_root pmem ~actor:Pmem.kernel_actor
+                  ~dentry_addr:Layout.root_dentry_addr
+              in
+              let indexed = root () <> 0 in
+              Libfs.unmap_everything libfs;
+              let& () = tally [ ("indexed", Bool.to_int indexed) ] in
+              match Controller.corruption_events ctl with
+              | [] -> empty
+              | (_, ino, vs) :: _ ->
+                fail Rejection "verifier rejected ino %d at a sharing point, %d violation(s), first %s"
+                  ino (List.length vs)
+                  (Fmt.str "%a" Trio_core.Verifier.pp_violation (List.hd vs)))
+      );
+    ]

@@ -16,27 +16,12 @@ module Controller = Trio_core.Controller
 module Attacks = Trio_attacks.Attacks
 module Rng = Trio_util.Rng
 
-(* Everything one verification mode produces, rendered to stable
-   strings so comparison is trivially byte-exact. *)
-type snapshot = {
-  vs_handcrafted : string list; (* one line per handcrafted attack *)
-  vs_campaign : string; (* campaign counters *)
-  vs_explore : string; (* crash-exploration outcome *)
-}
-
 let render_outcome (o : Attacks.outcome) =
   Fmt.str "%a :: %s" Attacks.pp_outcome o (String.concat " / " o.Attacks.a_events)
 
 let render_campaign (c : Attacks.campaign_result) =
   Printf.sprintf "total=%d detected=%d consistent=%d" c.Attacks.c_total c.Attacks.c_detected
     c.Attacks.c_consistent
-
-let render_explore (o : Explore.outcome) =
-  Fmt.str "points=%d states=%d exhaustive=%b %s" o.Explore.crash_points o.Explore.states
-    o.Explore.exhaustive
-    (match o.Explore.counterexample with
-    | None -> "no-counterexample"
-    | Some cx -> Fmt.str "counterexample: %a" Explore.pp_counterexample cx)
 
 (* The exploration slice is deliberately small: the gate's job is to
    compare verdicts across modes, not to re-run the deep campaign. *)
@@ -48,54 +33,45 @@ let explore_config =
     shrink = false;
   }
 
+(* Every scenario one verification mode runs, as (name, verdict), the
+   verdict rendered to a stable string so comparison is byte-exact. *)
 let run_suite ~seeds ~script_seed ~script_len mode =
   let prev = Controller.current_verify_mode () in
   Controller.set_verify_mode mode;
   Fun.protect
     ~finally:(fun () -> Controller.set_verify_mode prev)
     (fun () ->
-      let handcrafted = List.map render_outcome (Attacks.run_handcrafted ()) in
+      let handcrafted =
+        List.mapi
+          (fun i o -> (Printf.sprintf "attack %d" i, render_outcome o))
+          (Attacks.run_handcrafted ())
+      in
       let campaign = render_campaign (Attacks.run_campaign ~seeds ()) in
       let script = Script.generate (Rng.create script_seed) ~len:script_len in
-      let explore = render_explore (Explore.explore ~config:explore_config script) in
-      { vs_handcrafted = handcrafted; vs_campaign = campaign; vs_explore = explore })
+      let explore = Fmt.str "%a" Explore.pp (Explore.explore ~config:explore_config script) in
+      handcrafted @ [ ("campaign", campaign); ("exploration", explore) ])
 
-(* Line-by-line comparison; [] = byte-identical. *)
-let compare_snapshots ~(full : snapshot) ~(incremental : snapshot) =
-  let diffs = ref [] in
-  let add fmt = Printf.ksprintf (fun s -> diffs := s :: !diffs) fmt in
-  let nf = List.length full.vs_handcrafted and ni = List.length incremental.vs_handcrafted in
-  if nf <> ni then add "handcrafted attack count differs: full=%d incremental=%d" nf ni
-  else
-    List.iteri
-      (fun i (f, g) -> if f <> g then add "attack %d:\n  full:        %s\n  incremental: %s" i f g)
-      (List.combine full.vs_handcrafted incremental.vs_handcrafted);
-  if full.vs_campaign <> incremental.vs_campaign then
-    add "campaign:\n  full:        %s\n  incremental: %s" full.vs_campaign
-      incremental.vs_campaign;
-  if full.vs_explore <> incremental.vs_explore then
-    add "exploration:\n  full:        %s\n  incremental: %s" full.vs_explore
-      incremental.vs_explore;
-  List.rev !diffs
-
-type verdict = {
-  vd_scenarios : int; (* verdicts compared across the two runs *)
-  vd_diffs : string list; (* [] = the modes agree byte for byte *)
-}
-
-let scenario_count s = List.length s.vs_handcrafted + 2 (* campaign + exploration *)
-
+(* One state per scenario; a scenario whose verdicts differ across the
+   two modes is counted [diverged], and any divergence fails the report
+   with every differing pair in its detail. *)
 let differential ?(seeds = 2) ?(script_seed = 1) ?(script_len = 6) () =
+  Explore.guarded @@ fun () ->
   let full = run_suite ~seeds ~script_seed ~script_len Controller.Full in
   let incremental = run_suite ~seeds ~script_seed ~script_len Controller.Incremental in
-  {
-    vd_scenarios = scenario_count full;
-    vd_diffs = compare_snapshots ~full ~incremental;
-  }
-
-let pp_verdict ppf v =
-  match v.vd_diffs with
-  | [] -> Fmt.pf ppf "%d scenarios: verdicts byte-identical across modes" v.vd_scenarios
-  | ds ->
-    Fmt.pf ppf "%d scenarios, %d divergences:@." v.vd_scenarios (List.length ds);
-    List.iter (fun d -> Fmt.pf ppf "  %s@." d) ds
+  let diffs =
+    List.filter_map
+      (fun (name, f) ->
+        let g = Option.value ~default:"(missing)" (List.assoc_opt name incremental) in
+        if f = g then None
+        else Some (Printf.sprintf "%s:\n  full:        %s\n  incremental: %s" name f g))
+      full
+  in
+  let n = List.length full and d = List.length diffs in
+  let r =
+    { (Explore.tally [ ("identical", n - d); ("diverged", d) ]) with points = n; states = n }
+  in
+  if d = 0 then r
+  else
+    Explore.add r
+      (Explore.fail Divergence "%d of %d scenarios diverge across verification modes\n%s" d n
+         (String.concat "\n" diffs))

@@ -328,6 +328,38 @@ let test_delegation_equivalent_results () =
   | Some n when n > 0 -> ()
   | _ -> Alcotest.fail "delegation engine was not used"
 
+(* A lease revoked while a delegated write waits in the ring faults in
+   the delegation fiber with the writer's actor id.  The fault must reach
+   the writer, whose retry re-maps the file and lands the write. *)
+let test_delegation_fault_reaches_caller () =
+  Helpers.run_sim ~nodes:2 ~cpus_per_node:4 ~pages_per_node:32768 (fun env ->
+      let dlg =
+        Arckfs.Delegation.create ~sched:env.Helpers.sched ~pmem:env.Helpers.pmem
+          ~threads_per_node:1 ()
+      in
+      let fs = Helpers.mount ~proc:1 ~delegation:dlg env in
+      let ops = Libfs.ops fs in
+      ok "write" (Fs.write_file ops "/blob" (String.make 4096 'a'));
+      (* share it, so the kernel holds the mapping it can revoke *)
+      Libfs.unmap_everything fs;
+      let fd = ok "open" (ops.Fs.open_ "/blob" [ O_RDWR ]) in
+      let ino = (ok "stat" (ops.Fs.stat "/blob")).st_ino in
+      (* occupy the one delegation fiber of each node for a long while *)
+      let page_bytes = Pmem.pages_per_node env.Helpers.pmem * Pmem.page_size in
+      Sched.spawn env.Helpers.sched (fun () ->
+          Arckfs.Delegation.touch_all dlg ~actor:Pmem.kernel_actor ~write:false
+            [ (0, 8 lsl 20); (page_bytes, 8 lsl 20) ]);
+      (* revoke the mapping while the write below is queued *)
+      Sched.spawn env.Helpers.sched (fun () ->
+          Sched.delay 20_000.0;
+          ignore (Trio_core.Controller.unmap_file env.Helpers.ctl ~proc:1 ~ino));
+      Sched.delay 10_000.0;
+      ignore (ok "queued pwrite" (ops.Fs.pwrite fd (Bytes.make 4096 'b') 0));
+      let buf = Bytes.create 4096 in
+      ignore (ok "pread" (ops.Fs.pread fd buf 0));
+      Arckfs.Delegation.shutdown dlg;
+      Alcotest.(check bool) "retried write landed" true (Bytes.equal buf (Bytes.make 4096 'b')))
+
 (* ------------------------------------------------------------------ *)
 (* Crash consistency *)
 
@@ -455,6 +487,24 @@ let test_remapping_write_one_grant () =
       Alcotest.(check string) "both writes landed" "ab"
         (String.sub (ok "read" (Fs.read_file (Libfs.ops fs) "/s")) 0 2))
 
+(* Under unmap_after_write a name op that fails must still release the
+   parent it write-mapped: a second process's create in that directory
+   then gets the mapping at once instead of waiting out the lease. *)
+let test_failed_name_op_releases_parent () =
+  let lease_ns = 100.0e6 in
+  Helpers.run_sim ~lease_ns (fun env ->
+      let a = Libfs.ops (Helpers.mount ~proc:2 ~unmap_after_write:true env) in
+      ok "mkdir" (a.Fs.mkdir "/d" 0o777);
+      err "unlink missing" ENOENT (a.Fs.unlink "/d/missing");
+      err "create existing" EEXIST (a.Fs.mkdir "/d" 0o777);
+      Alcotest.(check int) "nothing left write-mapped" 0
+        (List.length (Trio_core.Controller.write_mapped_inos env.Helpers.ctl ~proc:2));
+      let b = Libfs.ops (Helpers.mount ~proc:3 ~unmap_after_write:true env) in
+      let t0 = Sched.now env.Helpers.sched in
+      ok "close" (b.Fs.close (ok "b create" (b.Fs.create "/d/x" 0o644)));
+      let waited = Sched.now env.Helpers.sched -. t0 in
+      if waited >= lease_ns then Alcotest.failf "b's create waited %.0f ns for a's lease" waited)
+
 let test_write_open_checked_at_open () =
   with_shared_file ~mode:0o444 (fun env ino ->
       let stranger = Libfs.ops (Helpers.mount ~proc:2 ~uid:2222 env) in
@@ -526,12 +576,18 @@ let () =
           Alcotest.test_case "disjoint writes" `Quick test_concurrent_disjoint_writes;
         ] );
       ( "delegation",
-        [ Alcotest.test_case "results equivalent" `Quick test_delegation_equivalent_results ] );
+        [
+          Alcotest.test_case "results equivalent" `Quick test_delegation_equivalent_results;
+          Alcotest.test_case "fault reaches the caller" `Quick
+            test_delegation_fault_reaches_caller;
+        ] );
       ( "sharing cost",
         [
           Alcotest.test_case "handoff PTE ops" `Quick test_handoff_pte_ops;
           Alcotest.test_case "re-mapping write grants once" `Quick test_remapping_write_one_grant;
           Alcotest.test_case "write open checked at open" `Quick test_write_open_checked_at_open;
+          Alcotest.test_case "failed name op releases its parent" `Quick
+            test_failed_name_op_releases_parent;
         ] );
       ( "crash",
         [

@@ -552,10 +552,23 @@ let test_explore_kills () =
   Alcotest.(check bool) "splits reached" true (Explore.count r "splits" > 0)
 
 (* The detection self-test: a LibFS that silently skips index
-   maintenance must be caught by I5 at the sharing point (and the
-   honest prefix must not be flagged — that check lives inside). *)
+   maintenance must be rejected by I5 at a sharing point, and the same
+   victim run honestly must not be rejected at all. *)
 let test_mutation_caught () =
-  Alcotest.(check bool) "skip-index-update caught" true (Explore.dir_index_mutation_caught ())
+  (match (Explore.audit_dir_index ()).Explore.failure with
+  | None -> ()
+  | Some cx -> Alcotest.failf "honest run failed:@.%a" Explore.pp_counterexample cx);
+  let r, caught =
+    Explore.self_test ~arm:Skip_index ~expect:Explore.Rejection Explore.audit_dir_index
+  in
+  if not caught then Alcotest.failf "skip-index-update not rejected:@.%a" Explore.pp r;
+  let names_i5 d =
+    let rec go i = i + 2 <= String.length d && (String.sub d i 2 = "I5" || go (i + 1)) in
+    go 0
+  in
+  match r.Explore.failure with
+  | Some cx when names_i5 cx.Explore.cx_detail -> ()
+  | _ -> Alcotest.failf "the rejection does not name I5:@.%a" Explore.pp r
 
 let () =
   Alcotest.run "dirindex"

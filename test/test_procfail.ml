@@ -402,10 +402,10 @@ let explore_seed seed =
   (match report.Explore.failure with
   | None -> ()
   | Some cx -> Alcotest.failf "seed %d:@.%a" seed Explore.pp_counterexample cx);
-  Alcotest.(check int) "no leaks" 0 report.Explore.leaked;
+  Alcotest.(check int) "no leaks" 0 (Explore.count report "leaked");
   Alcotest.(check bool) "states explored" true (report.Explore.states > 0);
   Alcotest.(check bool) "victims escalated" true
-    (report.Explore.escalated >= report.Explore.states)
+    (Explore.count report "escalated" >= report.Explore.states)
 
 let test_explore_seed_1 () = explore_seed 1
 let test_explore_seed_7 () = explore_seed 7
@@ -421,7 +421,7 @@ let test_explore_ring_seed () =
   (match report.Explore.failure with
   | None -> ()
   | Some cx -> Alcotest.failf "ring explore:@.%a" Explore.pp_counterexample cx);
-  Alcotest.(check int) "no leaks" 0 report.Explore.leaked;
+  Alcotest.(check int) "no leaks" 0 (Explore.count report "leaked");
   Alcotest.(check bool) "states explored" true (report.Explore.states > 0)
 
 (* With the skip-GC mutation armed the explorer must fail on page

@@ -86,7 +86,7 @@ let test_proc_death_invariant_across_shards () =
   | None -> ()
   | Some cx -> Alcotest.failf "proc-death state failed:@.%a" Explore.pp_counterexample cx);
   Alcotest.(check bool) "states explored" true (r.Explore.states > 0);
-  Alcotest.(check int) "no leaks" 0 r.Explore.leaked;
+  Alcotest.(check int) "no leaks" 0 (Explore.count r "leaked");
   Alcotest.(check bool) "no accounting failure" false
     (Explore.caught ~expect:Explore.Accounting r)
 
